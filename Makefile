@@ -43,14 +43,15 @@ parity:
 	done
 
 # snapparity proves the warm-start contract: snapshot -> restore -> run is
-# byte-identical to the uninterrupted mission across {tunnel, s-shape} x
-# {overlap, serial} locally and across the TCP-remote RTL, under the race
-# detector; make check runs the same matrix.
+# byte-identical to the uninterrupted mission on {tunnel, s-shape}, locally
+# and across the TCP-remote RTL, and an image whose meta spec carries the
+# removed "overlap" field still restores, under the race detector; make
+# check runs the same set.
 snapparity:
-	$(GO) test -race -count=1 -run 'TestSnapshotParity' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestSnapshotParity|TestRestoreImageWithOverlapField' ./internal/experiments/
 
 # energyparity proves the energy ledger's determinism contract: identical
-# EnergyBreakdown totals across {overlap, serial} x {local, TCP-remote RTL},
+# EnergyBreakdown totals for {local, TCP-remote RTL},
 # snapshot -> restore -> run equal to uninterrupted (the snapshot parity
 # matrix asserts energy too), pre-energy images restored with a warning, and
 # the EnergyOff knob leaving timing untouched; make check runs the same set.
@@ -59,11 +60,12 @@ energyparity:
 
 # fingerparity proves the determinism-fingerprint contract: the rolling
 # per-quantum FNV-1a chain is identical for a local machine and a TCP-remote
-# RTL server running the same mission, the fingerprint log round-trips, and
+# RTL server running the same mission and at GOMAXPROCS=1 vs N (the GEMM and
+# render fan-outs), the fingerprint log round-trips, and
 # the live-divergence bisector localizes an injected wire-level bit flip to
 # the quantum where it happened; make check runs the same matrix.
 fingerparity:
-	$(GO) test -race -count=1 -run 'TestFingerprintParityLocalRemote|TestFingerprintLogRoundTrip|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestFingerprintParityLocalRemote|TestFingerprintParityGOMAXPROCS|TestFingerprintLogRoundTrip|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum' ./internal/experiments/
 
 # scenariofuzz is the property-based mission sweep at full budget: 16 seeds
 # per scenario family (wind, degraded, squall, storm, swarm = 80 scenarios)

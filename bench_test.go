@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/env"
 	"repro/internal/experiments"
@@ -66,12 +65,12 @@ func runExperiment(b *testing.B, id string, models ...string) {
 // quantum renders the FPV frame, exchanges bridge packets, runs DNN
 // inference on the SoC model, and steps physics. Reported both as ns/op
 // for the short mission and ns/quantum for the per-step cost.
-func benchMission(b *testing.B, overlap core.OverlapMode, suite *obs.Suite, energyOff bool) {
+func benchMission(b *testing.B, suite *obs.Suite, energyOff bool) {
 	b.Helper()
 	pretrain(b, "ResNet6")
 	spec := experiments.MissionSpec{
 		Map: "tunnel", Model: "ResNet6", HW: config.A,
-		VForward: 3, MaxSimSec: 2, Overlap: overlap, Obs: suite,
+		VForward: 3, MaxSimSec: 2, Obs: suite,
 		EnergyOff: energyOff,
 	}
 	// Warm the shared trained-model cache and the world registry outside the
@@ -93,18 +92,9 @@ func benchMission(b *testing.B, overlap core.OverlapMode, suite *obs.Suite, ener
 	}
 }
 
-// BenchmarkMissionStep measures the default configuration (overlapped
-// quantum execution, core.OverlapOn) with observability disabled — every
-// hook is a nil check, so this is the PR 2 baseline.
-func BenchmarkMissionStep(b *testing.B) { benchMission(b, core.OverlapOn, nil, false) }
-
-// BenchmarkMissionStepOverlapped is an explicit alias of the default for
-// side-by-side comparison against the serial reference.
-func BenchmarkMissionStepOverlapped(b *testing.B) { benchMission(b, core.OverlapOn, nil, false) }
-
-// BenchmarkMissionStepSerial measures the serial reference: env frames and
-// SoC cycles back-to-back on one goroutine, the pre-overlap behavior.
-func BenchmarkMissionStepSerial(b *testing.B) { benchMission(b, core.OverlapOff, nil, false) }
+// BenchmarkMissionStep measures the default configuration with
+// observability disabled — every hook is a nil check.
+func BenchmarkMissionStep(b *testing.B) { benchMission(b, nil, false) }
 
 // BenchmarkMissionStepEnergyPaired alternates energy-accounting-on and
 // EnergyOff missions inside one timing loop so shared-vCPU drift cancels,
@@ -117,7 +107,7 @@ func BenchmarkMissionStepEnergyPaired(b *testing.B) {
 	specFor := func(off bool) experiments.MissionSpec {
 		return experiments.MissionSpec{
 			Map: "tunnel", Model: "ResNet6", HW: config.A,
-			VForward: 3, MaxSimSec: 2, Overlap: core.OverlapOn,
+			VForward: 3, MaxSimSec: 2,
 			EnergyOff: off,
 		}
 	}
@@ -142,12 +132,12 @@ func BenchmarkMissionStepEnergyPaired(b *testing.B) {
 	b.ReportMetric((float64(on)/float64(off)-1)*100, "energy_overhead_pct")
 }
 
-// BenchmarkMissionStepObserved measures the overlapped configuration with
+// BenchmarkMissionStepObserved measures the default configuration with
 // the full observability suite live — metrics registry plus span tracer —
 // quantifying the enabled-instrumentation overhead against
-// BenchmarkMissionStepOverlapped.
+// BenchmarkMissionStep.
 func BenchmarkMissionStepObserved(b *testing.B) {
-	benchMission(b, core.OverlapOn, obs.New(-1), false)
+	benchMission(b, obs.New(-1), false)
 }
 
 // BenchmarkMissionStepStreamPaired alternates a bare mission and a mission
@@ -162,7 +152,7 @@ func BenchmarkMissionStepStreamPaired(b *testing.B) {
 	pretrain(b, "ResNet6")
 	bare := experiments.MissionSpec{
 		Map: "tunnel", Model: "ResNet6", HW: config.A,
-		VForward: 3, MaxSimSec: 2, Overlap: core.OverlapOn,
+		VForward: 3, MaxSimSec: 2,
 	}
 	suite := obs.New(0)
 	instr := bare
@@ -212,7 +202,7 @@ func BenchmarkMissionStepStreamPaired(b *testing.B) {
 // site, so its delta against this twin is the full cost of the ledger —
 // integer adds on already-priced paths, required to stay in the noise.
 func BenchmarkMissionStepEnergyOff(b *testing.B) {
-	benchMission(b, core.OverlapOn, nil, true)
+	benchMission(b, nil, true)
 }
 
 // benchFleet measures host throughput — missions/sec/host, the paper's

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/env"
 	"repro/internal/experiments"
@@ -48,7 +47,6 @@ func main() {
 		sync     = flag.Uint64("sync", 16_666_667, "synchronization granularity (SoC cycles)")
 		maxSec   = flag.Float64("maxtime", 60, "simulated time budget (s)")
 		seed     = flag.Int64("seed", 0, "environment noise seed")
-		serial   = flag.Bool("serial", false, "disable overlapped quantum execution (serial reference)")
 		perClass = flag.Int("train-per-class", 200, "training samples per class for the model registry")
 		outDir   = flag.String("out", "", "directory for CSV logs (empty = no files)")
 		plot     = flag.Bool("plot", true, "print an ASCII trajectory plot")
@@ -204,7 +202,6 @@ func main() {
 		MaxSimSec:          *maxSec,
 		Seed:               *seed,
 		Scenario:           *scenario,
-		Overlap:            overlapMode(*serial),
 		Obs:                suite,
 		Precision:          precision,
 		EnvAddr:            *envAddr,
@@ -444,11 +441,4 @@ func orNone(s string) string {
 		return "no small model"
 	}
 	return s
-}
-
-func overlapMode(serial bool) core.OverlapMode {
-	if serial {
-		return core.OverlapOff
-	}
-	return core.OverlapOn
 }

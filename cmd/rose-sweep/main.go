@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -35,7 +34,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced sweep points and mission budgets")
 		kernel   = flag.String("gemm-kernel", "", "force the GEMM microkernel: noasm, sse, avx2 (empty = auto-detect; env ROSE_GEMM_KERNEL)")
 		prec     = flag.String("precision", "fp32", "inference datapath: fp32 or int8 (quantized Gemmini mode)")
-		serial   = flag.Bool("serial", false, "disable overlapped quantum execution (serial reference)")
 		perClass = flag.Int("train-per-class", 200, "training samples per class for the model registry")
 		outDir   = flag.String("out", "", "directory for CSV exports (empty = print only)")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
@@ -66,9 +64,6 @@ func main() {
 		ids = []string{*exp}
 	}
 	opt := experiments.Options{Quick: *quick, Precision: precision, Scenario: *scenario}
-	if *serial {
-		opt.Overlap = core.OverlapOff
-	}
 	if *scenario != "" {
 		fmt.Printf("scenario: %s\n", *scenario)
 	}

@@ -62,7 +62,7 @@ func gauntlet() []faultnet.Fault {
 // reconnect/replay/dedup machinery may never re-execute a side effect or
 // drop a response, or the trajectory bytes diverge.
 func TestChaosMissionByteIdentical(t *testing.T) {
-	baseline := runMission(t, newEnv(t), OverlapOn)
+	baseline := runMission(t, newEnv(t))
 
 	runs := []struct {
 		name string
@@ -92,7 +92,7 @@ func TestChaosMissionByteIdentical(t *testing.T) {
 			defer client.Close()
 			client.SetObs(suite.RPC)
 
-			res := runMission(t, client, OverlapOn)
+			res := runMission(t, client)
 			assertSameMission(t, baseline, res, run.name)
 			if inj.Fired() == 0 {
 				t.Fatal("chaos run fired no faults — the schedule never bit")
@@ -302,7 +302,7 @@ func TestChaosSeedsAreReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer client.Close()
-		res := runMission(t, client, OverlapOn)
+		res := runMission(t, client)
 		return fmt.Sprintf("%v|%d|%x", inj.Counts(), inj.Fired(),
 			trajectoryBytes(res.Trajectory)[:64])
 	}

@@ -54,22 +54,6 @@ type EnergyRTL interface {
 	EnergyBreakdown() soc.EnergyBreakdown
 }
 
-// OverlapMode selects whether the two simulators burn their quanta
-// concurrently. The zero value is OverlapOn: in the paper the FPGA and the
-// environment host always run in parallel between boundaries (Figure 5),
-// so overlap is the faithful default and OverlapOff exists as the serial
-// reference for parity testing and measurement.
-type OverlapMode int
-
-const (
-	// OverlapOn executes env.StepFrames and rtl.Step concurrently and
-	// joins before the boundary bookkeeping. Because data crosses only at
-	// quantum boundaries, results are byte-identical to serial execution.
-	OverlapOn OverlapMode = iota
-	// OverlapOff executes the two steps back-to-back on one goroutine.
-	OverlapOff
-)
-
 // Config parameterizes one co-simulation run.
 type Config struct {
 	// SoCClockHz is the modeled SoC clock (Equation 1). Defaults to 1 GHz.
@@ -92,16 +76,14 @@ type Config struct {
 	// Values > 1 model a loosely-coupled co-simulation and are used by the
 	// ablation study to show why RoSÉ's per-quantum exchange matters.
 	ExchangeEveryN int
-	// Overlap selects concurrent (default) or serial quantum execution.
-	Overlap OverlapMode
 	// RecordFingerprints keeps the per-quantum fingerprint sequence in
 	// Result.Fingerprints (one value per quantum, parallel to Trajectory).
 	// The rolling fingerprint itself is always-on; this only controls
 	// whether the full history is retained for logging/bisection.
 	RecordFingerprints bool
 	// Obs instruments the synchronizer's quantum phases (nil = disabled;
-	// every hook then reduces to a nil check, keeping the overlapped hot
-	// path allocation-free and within noise of its uninstrumented cost).
+	// every hook then reduces to a nil check, keeping the quantum loop
+	// allocation-free and within noise of its uninstrumented cost).
 	Obs *obs.CoreObs
 }
 
@@ -114,7 +96,6 @@ func DefaultConfig() Config {
 		MaxSimSeconds:         120,
 		StopOnMissionComplete: true,
 		RecordTrajectory:      true,
-		Overlap:               OverlapOn,
 	}
 }
 
@@ -212,8 +193,6 @@ type Synchronizer struct {
 	framesPerCycle float64
 	quantumSec     float64
 	exchangeEvery  int
-	stepCh         chan int
-	quantumCh      chan envQuantum
 	st             runState
 	res            *Result
 }
@@ -288,15 +267,6 @@ type frameByter interface {
 	FrameBytesInto(dst []byte) (pix []byte, w, h int)
 }
 
-// envQuantum is what the environment worker hands back per quantum: the
-// step outcome plus the boundary telemetry sample, which depends only on
-// environment state and therefore rides inside the overlapped region.
-type envQuantum struct {
-	tm      env.Telemetry
-	stepErr error
-	telErr  error
-}
-
 // Run executes Algorithm 1 until the mission completes, the time budget
 // expires, or the collision limit is hit. It is the one-shot composition of
 // the stepwise API: Start, StepQuanta to completion, Finish.
@@ -305,16 +275,15 @@ func (s *Synchronizer) Run() (*Result, error) {
 		return nil, err
 	}
 	if _, err := s.StepQuanta(0); err != nil {
-		s.teardown()
 		return nil, err
 	}
 	return s.Finish()
 }
 
-// Start prepares the quantum loop: it configures the bridge quantum, derives
-// the Equation 1 frame ratio, and (in overlapped mode) launches the
-// environment worker. Call RestoreState before Start when resuming from a
-// snapshot. After Start, drive the loop with StepQuanta and end with Finish.
+// Start prepares the quantum loop: it configures the bridge quantum and
+// derives the Equation 1 frame ratio. Call RestoreState before Start when
+// resuming from a snapshot. After Start, drive the loop with StepQuanta and
+// end with Finish.
 func (s *Synchronizer) Start() error {
 	if s.started {
 		return fmt.Errorf("core: Start called twice")
@@ -355,39 +324,8 @@ func (s *Synchronizer) Start() error {
 		s.res.Trajectory = make([]env.Telemetry, 0, n)
 	}
 
-	// In overlapped mode a persistent worker owns the environment during
-	// the quantum: it steps the granted frames and samples the boundary
-	// telemetry while this goroutine runs the RTL quantum — the in-process
-	// analogue of FireSim and AirSim burning their quanta in parallel on
-	// separate hosts (Figure 5). The main goroutine touches the environment
-	// only between quanta (serve/exchange), so there is no shared access.
-	if cfg.Overlap == OverlapOn {
-		s.stepCh = make(chan int)
-		// Buffered so the worker can always complete its send and exit on
-		// stepCh close, even when the loop exits early on an RTL error.
-		s.quantumCh = make(chan envQuantum, 1)
-		go func(stepCh chan int, quantumCh chan envQuantum) {
-			for frames := range stepCh {
-				var q envQuantum
-				t0 := s.o.Start()
-				if q.stepErr = s.env.StepFrames(frames); q.stepErr == nil {
-					q.tm, q.telErr = s.env.Telemetry()
-				}
-				s.o.ObserveEnv(t0)
-				quantumCh <- q
-			}
-		}(s.stepCh, s.quantumCh)
-	}
 	s.started = true
 	return nil
-}
-
-// teardown stops the overlap worker. Safe to call more than once.
-func (s *Synchronizer) teardown() {
-	if s.stepCh != nil {
-		close(s.stepCh)
-		s.stepCh = nil
-	}
 }
 
 // StepQuanta advances the mission by up to maxQuanta synchronization quanta
@@ -432,48 +370,30 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 		s.st.frameDebt += float64(cfg.SyncCycles) * s.framesPerCycle
 		frames := int(s.st.frameDebt)
 		s.st.frameDebt -= float64(frames)
-		var tm env.Telemetry
-		if cfg.Overlap == OverlapOn {
-			s.stepCh <- frames
-			t0 := s.o.Start()
-			_, rtlErr := s.rtl.Step(cfg.SyncCycles)
-			s.o.ObserveRTL(t0)
-			t1 := s.o.Start()
-			q := <-s.quantumCh
-			s.o.ObserveStall(t1)
-			// Surface errors in serial-report order: environment first.
-			if q.stepErr != nil {
-				s.o.Fault("env step failed")
-				return false, fmt.Errorf("core: stepping environment: %w", q.stepErr)
-			}
-			if rtlErr != nil {
-				s.o.Fault("rtl step failed")
-				return false, fmt.Errorf("core: stepping RTL: %w", rtlErr)
-			}
-			if q.telErr != nil {
-				s.o.Fault("telemetry failed")
-				return false, fmt.Errorf("core: telemetry: %w", q.telErr)
-			}
-			tm = q.tm
-		} else {
-			t0 := s.o.Start()
-			if err := s.env.StepFrames(frames); err != nil {
-				s.o.Fault("env step failed")
-				return false, fmt.Errorf("core: stepping environment: %w", err)
-			}
-			s.o.ObserveEnv(t0)
-			t0 = s.o.Start()
-			if _, err := s.rtl.Step(cfg.SyncCycles); err != nil {
-				s.o.Fault("rtl step failed")
-				return false, fmt.Errorf("core: stepping RTL: %w", err)
-			}
-			s.o.ObserveRTL(t0)
-			var err error
-			if tm, err = s.env.Telemetry(); err != nil {
-				s.o.Fault("telemetry failed")
-				return false, fmt.Errorf("core: telemetry: %w", err)
-			}
+		// Serial order: env.StepFrames, rtl.Step, then the boundary
+		// telemetry sample, so an environment failure is reported before an
+		// RTL one. A remote environment (env.Client) acks StepFrames without
+		// waiting, so the remote simulator steps its quantum while the local
+		// RTL runs and Telemetry collects the deferred ack — the paper's
+		// concurrent simulators (Figure 5) without a goroutine here.
+		t0 := s.o.Start()
+		if err := s.env.StepFrames(frames); err != nil {
+			s.o.Fault("env step failed")
+			return false, fmt.Errorf("core: stepping environment: %w", err)
 		}
+		t1 := s.o.Start()
+		if _, err := s.rtl.Step(cfg.SyncCycles); err != nil {
+			s.o.Fault("rtl step failed")
+			return false, fmt.Errorf("core: stepping RTL: %w", err)
+		}
+		s.o.ObserveRTL(t1)
+		t2 := s.o.Start()
+		tm, err := s.env.Telemetry()
+		if err != nil {
+			s.o.Fault("telemetry failed")
+			return false, fmt.Errorf("core: telemetry: %w", err)
+		}
+		s.o.ObserveEnv(t0, t1, t2)
 		// Sample the quantum's simulated power for the trace's power rail
 		// and the black box. Observation only: skipped entirely when
 		// observability is off, and never feeds back into the run.
@@ -576,7 +496,7 @@ func (s *Synchronizer) StepQuanta(maxQuanta int) (done bool, err error) {
 	return s.st.stopped || s.st.simT >= s.cfg.MaxSimSeconds, nil
 }
 
-// Finish stops the overlap worker and finalizes the Result. The synchronizer
+// Finish finalizes the Result. The synchronizer
 // cannot be stepped afterwards.
 func (s *Synchronizer) Finish() (*Result, error) {
 	if !s.started {
@@ -586,7 +506,6 @@ func (s *Synchronizer) Finish() (*Result, error) {
 		return nil, fmt.Errorf("core: Finish called twice")
 	}
 	s.finished = true
-	s.teardown()
 	res := s.res
 	res.SimSeconds = s.st.simT
 	res.MissionTimeSec = s.st.simT

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -319,4 +320,104 @@ func TestExchangeEveryNAddsStaleness(t *testing.T) {
 	if loose < 4*strict {
 		t.Errorf("loose exchange latency %v should be several times strict %v", loose, strict)
 	}
+}
+
+// sensorLooper is a target program exercising the full serve surface every
+// iteration: actuation plus a contiguous run of all three sensor requests
+// (the shape the batched remote path collapses into one round-trip).
+func sensorLooper(v float64) soc.Program {
+	return func(rt *soc.Runtime) error {
+		rt.Send(packet.Cmd{VForward: v}.Marshal())
+		for {
+			rt.Send(packet.Packet{Type: packet.DepthReq})
+			rt.Send(packet.Packet{Type: packet.CamReq})
+			rt.Send(packet.Packet{Type: packet.IMUReq})
+			rt.Recv()
+			rt.Recv()
+			rt.Recv()
+			rt.Compute(8_000_000)
+		}
+	}
+}
+
+// trajectoryBytes flattens a trajectory through the telemetry wire codec,
+// so equality means byte-for-byte identical floating-point state.
+func trajectoryBytes(traj []env.Telemetry) []byte {
+	var b []byte
+	for _, tm := range traj {
+		b = env.AppendTelemetry(b, tm)
+	}
+	return b
+}
+
+func runMission(t *testing.T, e env.Env) *Result {
+	t.Helper()
+	m := soc.NewMachine(soc.Config{Core: soc.BOOM}, sensorLooper(3))
+	defer m.Close()
+	cfg := DefaultConfig()
+	cfg.MaxSimSeconds = 3
+	cfg.StopOnMissionComplete = false
+	sy, err := New(e, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sy.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func assertSameMission(t *testing.T, a, b *Result, what string) {
+	t.Helper()
+	if a.Cycles != b.Cycles || a.Syncs != b.Syncs {
+		t.Errorf("%s: cycles/syncs (%d,%d) vs (%d,%d)", what, a.Cycles, a.Syncs, b.Cycles, b.Syncs)
+	}
+	if a.Completed != b.Completed || a.Collisions != b.Collisions {
+		t.Errorf("%s: completed/collisions (%v,%d) vs (%v,%d)",
+			what, a.Completed, a.Collisions, b.Completed, b.Collisions)
+	}
+	if a.AvgVelocity != b.AvgVelocity || a.SimSeconds != b.SimSeconds || a.MissionTimeSec != b.MissionTimeSec {
+		t.Errorf("%s: velocity/time (%v,%v,%v) vs (%v,%v,%v)", what,
+			a.AvgVelocity, a.SimSeconds, a.MissionTimeSec,
+			b.AvgVelocity, b.SimSeconds, b.MissionTimeSec)
+	}
+	if a.SoC != b.SoC {
+		t.Errorf("%s: SoC stats %+v vs %+v", what, a.SoC, b.SoC)
+	}
+	if len(a.Trajectory) != len(b.Trajectory) {
+		t.Fatalf("%s: trajectory length %d vs %d", what, len(a.Trajectory), len(b.Trajectory))
+	}
+	if !bytes.Equal(trajectoryBytes(a.Trajectory), trajectoryBytes(b.Trajectory)) {
+		t.Errorf("%s: trajectories differ byte-wise", what)
+	}
+}
+
+// TestRemoteLoopbackMatchesLocal drives core.Run end-to-end through
+// env.Client→env.Server over a loopback TCP connection — pipelined acks,
+// batched sensor fetches, the remote quantum stepping while the RTL runs —
+// and requires the result to be byte-identical to the same mission against
+// the in-process simulator. scripts/check.sh runs it under -race, which
+// also validates the client and server locking.
+func TestRemoteLoopbackMatchesLocal(t *testing.T) {
+	local := runMission(t, newEnv(t))
+
+	sim, err := env.New(env.DefaultConfig(world.Tunnel()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := env.NewServer(sim, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve()
+	client, err := env.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	remote := runMission(t, client)
+	assertSameMission(t, local, remote, "local vs remote loopback")
 }

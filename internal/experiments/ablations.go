@@ -27,7 +27,7 @@ func AblationSync(opt Options) (*Report, error) {
 		out, err := RunMission(MissionSpec{
 			Map: "tunnel", Model: "ResNet14", HW: config.A,
 			VForward: 3, StartYawDeg: 20,
-			ExchangeEveryN: n, MaxSimSec: opt.maxSimSec(), Overlap: opt.Overlap,
+			ExchangeEveryN: n, MaxSimSec: opt.maxSimSec(),
 		})
 		if err != nil {
 			return nil, err
@@ -62,7 +62,7 @@ func AblationQueue(opt Options) (*Report, error) {
 		}
 		out, err := RunMission(MissionSpec{
 			Map: "tunnel", Model: "ResNet14", HW: config.A,
-			VForward: 3, RxQueueBytes: sz, MaxSimSec: maxSec, Overlap: opt.Overlap,
+			VForward: 3, RxQueueBytes: sz, MaxSimSec: maxSec,
 		})
 		if err != nil {
 			return nil, err
@@ -90,7 +90,7 @@ func AblationPolicy(opt Options) (*Report, error) {
 	for _, argmax := range []bool{false, true} {
 		out, err := RunMission(MissionSpec{
 			Map: "s-shape", Model: "ResNet6", HW: config.A,
-			VForward: 9, Argmax: argmax, MaxSimSec: opt.maxSimSec(), Overlap: opt.Overlap,
+			VForward: 9, Argmax: argmax, MaxSimSec: opt.maxSimSec(),
 		})
 		if err != nil {
 			return nil, err

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/soc"
 )
 
 // TestEnergyParity: the energy ledger is as deterministic as the cycle
-// counter. One mission run under every deployment cell — {overlap, serial} ×
-// {local, TCP-remote RTL} — must produce a byte-identical EnergyBreakdown.
-// The reference cell is local+overlap; every other cell is compared to it.
+// counter. One mission run locally and against a TCP-remote RTL must produce
+// a byte-identical EnergyBreakdown; the local run is the reference.
 func TestEnergyParity(t *testing.T) {
-	spec := paritySpec("tunnel", core.OverlapOn)
+	spec := paritySpec("tunnel")
 	ref := runUninterrupted(t, spec)
 	if !ref.Result.HasEnergy {
 		t.Fatal("reference mission produced no energy breakdown")
@@ -25,42 +23,18 @@ func TestEnergyParity(t *testing.T) {
 		t.Fatalf("energy domain missing charge: %+v", b)
 	}
 
-	cells := []struct {
-		name    string
-		overlap core.OverlapMode
-		remote  bool
-	}{
-		{"local/serial", core.OverlapOff, false},
-		{"remote/overlap", core.OverlapOn, true},
-		{"remote/serial", core.OverlapOff, true},
-	}
-	for _, cell := range cells {
-		t.Run(cell.name, func(t *testing.T) {
-			cspec := paritySpec("tunnel", cell.overlap)
-			var res *core.Result
-			if cell.remote {
-				rm := dialRemoteMission(t, cspec, nil)
-				var err error
-				res, err = rm.sy.Run()
-				if err != nil {
-					t.Fatalf("remote mission: %v", err)
-				}
-			} else {
-				out, err := RunMission(cspec)
-				if err != nil {
-					t.Fatalf("local mission: %v", err)
-				}
-				res = out.Result
-			}
-			if !res.HasEnergy {
-				t.Fatal("mission produced no energy breakdown")
-			}
-			if res.Energy != b {
-				t.Errorf("energy diverges from local/overlap reference:\n  reference %+v\n  %-9s %+v",
-					b, cell.name, res.Energy)
-			}
-		})
-	}
+	t.Run("remote", func(t *testing.T) {
+		res, err := dialRemoteMission(t, spec, nil).sy.Run()
+		if err != nil {
+			t.Fatalf("remote mission: %v", err)
+		}
+		if !res.HasEnergy {
+			t.Fatal("mission produced no energy breakdown")
+		}
+		if res.Energy != b {
+			t.Errorf("energy diverges from the local reference:\n  local  %+v\n  remote %+v", b, res.Energy)
+		}
+	})
 }
 
 // TestRestorePreEnergyImage: restoring an image that predates the energy
@@ -69,7 +43,7 @@ func TestEnergyParity(t *testing.T) {
 // covers only the resumed portion, so it lands strictly below the
 // uninterrupted run's.
 func TestRestorePreEnergyImage(t *testing.T) {
-	spec := paritySpec("tunnel", core.OverlapOn)
+	spec := paritySpec("tunnel")
 	ref := runUninterrupted(t, spec)
 	img := captureEncoded(t, spec)
 
@@ -100,7 +74,7 @@ func TestRestorePreEnergyImage(t *testing.T) {
 // TestEnergyOffZeroLedger: the EnergyOff knob fully disables accounting —
 // the mission still runs (cycle-identical) but reports no energy.
 func TestEnergyOffZeroLedger(t *testing.T) {
-	spec := paritySpec("tunnel", core.OverlapOn)
+	spec := paritySpec("tunnel")
 	ref := runUninterrupted(t, spec)
 
 	off := spec

@@ -71,9 +71,6 @@ type MissionSpec struct {
 	ExchangeEveryN int
 	// Argmax forces the full-magnitude argmax control policy (§5.2).
 	Argmax bool
-	// Overlap selects concurrent (default) or serial quantum execution
-	// (see core.OverlapMode); results are byte-identical either way.
-	Overlap core.OverlapMode
 	// Precision selects the inference datapath (dnn.PrecisionFP32, the
 	// zero value, or dnn.PrecisionInt8 for the quantized Gemmini mode).
 	Precision dnn.Precision
@@ -217,7 +214,6 @@ func (spec MissionSpec) coreConfig() core.Config {
 	cfg.SyncCycles = spec.SyncCycles
 	cfg.MaxSimSeconds = spec.MaxSimSec
 	cfg.ExchangeEveryN = spec.ExchangeEveryN
-	cfg.Overlap = spec.Overlap
 	cfg.Obs = spec.obsCore()
 	cfg.RecordFingerprints = spec.RecordFingerprints
 	return cfg
@@ -462,9 +458,6 @@ type Options struct {
 	// worker count; outcomes are collected by sweep index, making report
 	// lines byte-identical to a serial run.
 	Workers int
-	// Overlap is stamped onto every sweep spec (see core.OverlapMode);
-	// the zero value keeps overlapped quantum execution on.
-	Overlap core.OverlapMode
 	// Obs is stamped onto every sweep spec; concurrent missions share the
 	// suite (all instruments are atomic), so sweep-wide metrics aggregate
 	// across workers. Nil keeps instrumentation off.
@@ -484,7 +477,6 @@ type Options struct {
 // aggregates still cover the whole run.
 func (o Options) stamp(specs []MissionSpec) []MissionSpec {
 	for i := range specs {
-		specs[i].Overlap = o.Overlap
 		specs[i].Obs = o.Obs
 		specs[i].Precision = o.Precision
 		if o.Scenario != "" {

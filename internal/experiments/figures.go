@@ -186,7 +186,6 @@ func Figure13(opt Options) (*Report, error) {
 	}
 	for i, c := range cases {
 		c.spec.MaxSimSec = opt.maxSimSec()
-		c.spec.Overlap = opt.Overlap
 		out, err := RunMission(c.spec)
 		if err != nil {
 			return nil, err

@@ -3,10 +3,11 @@ package experiments
 import (
 	"bytes"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/dnn"
 	"repro/internal/faultnet"
 	"repro/internal/soc"
 )
@@ -68,7 +69,7 @@ func TestFirstDivergentQuantum(t *testing.T) {
 // the engine's rolling fingerprint rides the RTLStatus reply, so remote ≡
 // local is checked live at every quantum, not only at mission end.
 func TestFingerprintParityLocalRemote(t *testing.T) {
-	spec := paritySpec("tunnel", core.OverlapOn)
+	spec := paritySpec("tunnel")
 	spec.RecordFingerprints = true
 
 	local, err := RunMission(spec)
@@ -93,12 +94,46 @@ func TestFingerprintParityLocalRemote(t *testing.T) {
 	}
 }
 
+// TestFingerprintParityGOMAXPROCS pins the determinism contract against the
+// concurrency inside one mission: the GEMM row-band and render row-band
+// fan-outs, which split work across GOMAXPROCS goroutines. The same tunnel
+// mission at GOMAXPROCS=1 (every fan-out inline) and at max(2, NumCPU)
+// (fan-outs active, interleaved even on one CPU) must produce identical
+// per-quantum fingerprint chains.
+func TestFingerprintParityGOMAXPROCS(t *testing.T) {
+	spec := paritySpec("tunnel")
+	spec.RecordFingerprints = true
+	// Train at the ambient setting so both runs share one cached model and
+	// only the mission itself runs under the pinned GOMAXPROCS.
+	if _, err := dnn.Trained(spec.Model); err != nil {
+		t.Fatal(err)
+	}
+	run := func(procs int) []uint64 {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out, err := RunMission(spec)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return out.Result.Fingerprints
+	}
+	procs := max(2, runtime.NumCPU())
+	one, many := run(1), run(procs)
+	if len(one) == 0 {
+		t.Fatal("no fingerprints recorded")
+	}
+	if q, ok := FirstDivergentQuantum(one, many); ok {
+		t.Fatalf("GOMAXPROCS=1 and GOMAXPROCS=%d fingerprint chains diverge at quantum %d:\n%s",
+			procs, q, DivergenceReport("procs=1", one, "procs=n", many))
+	}
+}
+
 // TestLiveDivergenceRemoteRTL fault-injects the remote RTL link — one
 // scripted bit flip in a client→server frame mid-mission — and asserts the
 // fingerprint chains detect the divergence and localize its first quantum
 // consistently with the trajectory ground truth.
 func TestLiveDivergenceRemoteRTL(t *testing.T) {
-	spec := paritySpec("tunnel", core.OverlapOn)
+	spec := paritySpec("tunnel")
 	spec.RecordFingerprints = true
 	ref, err := RunMission(spec)
 	if err != nil {

@@ -37,13 +37,12 @@ func Pareto(opt Options) (*Report, error) {
 			for _, p := range precs {
 				// Precision is the sweep axis here, so the sweep-wide stamp
 				// (which would overwrite it with opt.Precision) cannot be
-				// used; Overlap and Obs are applied by hand instead.
+				// used; Obs is applied by hand instead.
 				specs = append(specs, MissionSpec{
 					Map: mp, Model: model, HW: hw,
 					VForward:  3,
 					Seed:      7,
 					MaxSimSec: opt.maxSimSec(),
-					Overlap:   opt.Overlap,
 					Obs:       opt.Obs,
 					Precision: p,
 				})

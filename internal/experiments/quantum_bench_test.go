@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 )
 
 // BenchmarkMissionQuantum measures one steady-state synchronization quantum
@@ -15,7 +14,7 @@ import (
 func BenchmarkMissionQuantum(b *testing.B) {
 	spec := MissionSpec{
 		Map: "tunnel", Model: "ResNet6", HW: config.A,
-		VForward: 3, MaxSimSec: 1e9, Overlap: core.OverlapOn,
+		VForward: 3, MaxSimSec: 1e9,
 	}
 	benchMissionQuantum(b, spec)
 }
@@ -29,7 +28,7 @@ func BenchmarkMissionQuantum(b *testing.B) {
 func BenchmarkMissionQuantumScenario(b *testing.B) {
 	base := MissionSpec{
 		Map: "tunnel", Model: "ResNet6", HW: config.A,
-		VForward: 3, MaxSimSec: 1e9, Overlap: core.OverlapOn, Seed: 7,
+		VForward: 3, MaxSimSec: 1e9, Seed: 7,
 	}
 	for _, scn := range []string{"", "squall:1", "storm:1"} {
 		name := "calm"

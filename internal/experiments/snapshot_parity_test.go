@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -16,13 +15,12 @@ import (
 // paritySpec is the mission every snapshot-parity cell runs: short enough
 // for the test matrix, long enough to cross the divergence quantum with
 // several control-loop iterations on both sides.
-func paritySpec(mapName string, overlap core.OverlapMode) MissionSpec {
+func paritySpec(mapName string) MissionSpec {
 	return MissionSpec{
 		Map: mapName, Model: "ResNet6", HW: config.A,
 		VForward:  3,
 		Seed:      11,
 		MaxSimSec: 3,
-		Overlap:   overlap,
 	}
 }
 
@@ -91,34 +89,31 @@ func checkTrajectory(t *testing.T, ref, got *MissionOutcome) {
 }
 
 // TestSnapshotParityLocal: snapshot → restore → run must be byte-identical
-// to an uninterrupted run, across {tunnel, s-shape} × {overlap, serial},
-// with the image passed through the binary container each time.
+// to an uninterrupted run, on tunnel and s-shape, with the image passed
+// through the binary container each time.
 func TestSnapshotParityLocal(t *testing.T) {
 	for _, mapName := range []string{"tunnel", "s-shape"} {
-		for _, ov := range []core.OverlapMode{core.OverlapOn, core.OverlapOff} {
-			name := fmt.Sprintf("%s/overlap=%v", mapName, ov == core.OverlapOn)
-			t.Run(name, func(t *testing.T) {
-				spec := paritySpec(mapName, ov)
-				ref := runUninterrupted(t, spec)
-				img := captureEncoded(t, spec)
+		t.Run(mapName, func(t *testing.T) {
+			spec := paritySpec(mapName)
+			ref := runUninterrupted(t, spec)
+			img := captureEncoded(t, spec)
 
-				// Restore continues with the mission's own sensor
-				// streams: a pure suspend/resume, no variant reseed.
-				ms, err := assemble(spec, nil, img)
-				if err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				defer ms.close()
-				got, err := ms.run()
-				if err != nil {
-					t.Fatalf("restored run: %v", err)
-				}
-				checkParity(t, ref, got)
-				if !reflect.DeepEqual(ref.Inferences, got.Inferences) {
-					t.Errorf("inference logs differ: %d records vs %d", len(ref.Inferences), len(got.Inferences))
-				}
-			})
-		}
+			// Restore continues with the mission's own sensor streams: a
+			// pure suspend/resume, no variant reseed.
+			ms, err := assemble(spec, nil, img)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			defer ms.close()
+			got, err := ms.run()
+			if err != nil {
+				t.Fatalf("restored run: %v", err)
+			}
+			checkParity(t, ref, got)
+			if !reflect.DeepEqual(ref.Inferences, got.Inferences) {
+				t.Errorf("inference logs differ: %d records vs %d", len(ref.Inferences), len(got.Inferences))
+			}
+		})
 	}
 }
 
@@ -198,7 +193,7 @@ func dialRemoteMissionWith(t *testing.T, spec MissionSpec, img *snapshot.Image, 
 func TestSnapshotParityRemoteRTL(t *testing.T) {
 	for _, mapName := range []string{"tunnel", "s-shape"} {
 		t.Run(mapName, func(t *testing.T) {
-			spec := paritySpec(mapName, core.OverlapOn)
+			spec := paritySpec(mapName)
 			ref := runUninterrupted(t, spec)
 
 			// Run the prefix against a remote RTL and capture over the

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/env"
 	"repro/internal/obs"
@@ -29,27 +28,28 @@ import (
 // snapshot image's meta section: exactly the fields needed to rebuild the
 // mission's read-only parts on restore. Live wiring (Batch, Obs, EnvAddr)
 // is deliberately absent — a restored mission gets fresh wiring from its
-// restoring process.
+// restoring process. Decoding ignores unknown fields, so images that carry
+// a field since removed from the spec (such as "overlap", the synchronizer
+// mode) still restore.
 type specMeta struct {
-	Map            string           `json:"map"`
-	Model          string           `json:"model"`
-	SmallModel     string           `json:"small_model,omitempty"`
-	HW             config.HW        `json:"hw"`
-	VForward       float64          `json:"v_forward"`
-	StartYawDeg    float64          `json:"start_yaw_deg,omitempty"`
-	StartX         float64          `json:"start_x"`
-	StartY         float64          `json:"start_y,omitempty"`
-	SyncCycles     uint64           `json:"sync_cycles"`
-	MaxSimSec      float64          `json:"max_sim_sec"`
-	Seed           int64            `json:"seed"`
-	Scenario       string           `json:"scenario,omitempty"`
-	Drone          int              `json:"drone,omitempty"`
-	RxQueueBytes   int              `json:"rx_queue_bytes,omitempty"`
-	ExchangeEveryN int              `json:"exchange_every_n,omitempty"`
-	Argmax         bool             `json:"argmax,omitempty"`
-	Overlap        core.OverlapMode `json:"overlap,omitempty"`
-	Precision      dnn.Precision    `json:"precision,omitempty"`
-	EnergyOff      bool             `json:"energy_off,omitempty"`
+	Map            string        `json:"map"`
+	Model          string        `json:"model"`
+	SmallModel     string        `json:"small_model,omitempty"`
+	HW             config.HW     `json:"hw"`
+	VForward       float64       `json:"v_forward"`
+	StartYawDeg    float64       `json:"start_yaw_deg,omitempty"`
+	StartX         float64       `json:"start_x"`
+	StartY         float64       `json:"start_y,omitempty"`
+	SyncCycles     uint64        `json:"sync_cycles"`
+	MaxSimSec      float64       `json:"max_sim_sec"`
+	Seed           int64         `json:"seed"`
+	Scenario       string        `json:"scenario,omitempty"`
+	Drone          int           `json:"drone,omitempty"`
+	RxQueueBytes   int           `json:"rx_queue_bytes,omitempty"`
+	ExchangeEveryN int           `json:"exchange_every_n,omitempty"`
+	Argmax         bool          `json:"argmax,omitempty"`
+	Precision      dnn.Precision `json:"precision,omitempty"`
+	EnergyOff      bool          `json:"energy_off,omitempty"`
 }
 
 // MetaSpec serializes the rebuildable subset of the spec for
@@ -63,7 +63,7 @@ func (spec MissionSpec) MetaSpec() (json.RawMessage, error) {
 		MaxSimSec: spec.MaxSimSec, Seed: spec.Seed,
 		Scenario: spec.Scenario, Drone: spec.Drone,
 		RxQueueBytes: spec.RxQueueBytes, ExchangeEveryN: spec.ExchangeEveryN,
-		Argmax: spec.Argmax, Overlap: spec.Overlap, Precision: spec.Precision,
+		Argmax: spec.Argmax, Precision: spec.Precision,
 		EnergyOff: spec.EnergyOff,
 	})
 }
@@ -85,7 +85,7 @@ func SpecFromImage(img *snapshot.Image) (MissionSpec, error) {
 		MaxSimSec: m.MaxSimSec, Seed: m.Seed,
 		Scenario: m.Scenario, Drone: m.Drone,
 		RxQueueBytes: m.RxQueueBytes, ExchangeEveryN: m.ExchangeEveryN,
-		Argmax: m.Argmax, Overlap: m.Overlap, Precision: m.Precision,
+		Argmax: m.Argmax, Precision: m.Precision,
 		EnergyOff: m.EnergyOff,
 	}, nil
 }
@@ -122,14 +122,9 @@ func CaptureMission(spec MissionSpec, prefixQuanta uint64) (*snapshot.Image, err
 	if spec.Obs != nil {
 		meta.TraceSeq = spec.Obs.Run.Seq()
 	}
-	img, err := snapshot.Capture(ms.sy, ms.sim, ms.mach, meta)
-	if err != nil {
-		return nil, err
-	}
-	// The prefix mission is abandoned here: Finish tears down the
-	// synchronizer's worker before close() kills the machine.
-	_, _ = ms.sy.Finish()
-	return img, nil
+	// The prefix mission is abandoned once captured; close() kills the
+	// machine.
+	return snapshot.Capture(ms.sy, ms.sim, ms.mach, meta)
 }
 
 // ResumeMission restores an image into one mission — spec rebuilt from the

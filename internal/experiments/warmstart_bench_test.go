@@ -14,7 +14,7 @@ var benchSink any
 // mid-mission co-simulation (capture is non-destructive and repeatable at
 // the same quantum boundary).
 func BenchmarkSnapshotCapture(b *testing.B) {
-	spec := paritySpec("tunnel", 0)
+	spec := paritySpec("tunnel")
 	ms, err := assemble(spec, nil, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -41,14 +41,13 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(bytes), "image_bytes")
-	_, _ = ms.sy.Finish()
 }
 
 // BenchmarkSnapshotRestore measures the full fork cost: decode the
 // container, rebuild every mission layer from the image, tear it down. The
 // read-only state (map, weights) is shared, not rebuilt.
 func BenchmarkSnapshotRestore(b *testing.B) {
-	spec := paritySpec("tunnel", 0)
+	spec := paritySpec("tunnel")
 	img, err := CaptureMission(spec, parityPrefixQuanta)
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,7 +39,7 @@ func TestWarmstartQuick(t *testing.T) {
 // TestSpecMetaRoundTrip: the spec subset embedded in an image's meta
 // section must survive the JSON round trip exactly.
 func TestSpecMetaRoundTrip(t *testing.T) {
-	spec := paritySpec("s-shape", 1).withDefaults()
+	spec := paritySpec("s-shape").withDefaults()
 	spec.SmallModel = "ResNet6"
 	spec.ExchangeEveryN = 3
 	spec.Argmax = true
@@ -53,4 +55,52 @@ func TestSpecMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, spec) {
 		t.Errorf("spec round trip:\n  want %+v\n  got  %+v", spec, got)
 	}
+}
+
+// TestRestoreImageWithOverlapField pins the stored rose-snap/1 meta spec
+// against a removed field: images from builds that had a synchronizer
+// overlap mode carry "overlap":1 when captured in serial mode. The spec
+// decoder must keep ignoring unknown fields, and the restored mission must
+// reach the uninterrupted mission's final fingerprint.
+func TestRestoreImageWithOverlapField(t *testing.T) {
+	spec := paritySpec("tunnel")
+	ref := runUninterrupted(t, spec)
+	img := captureEncoded(t, spec)
+
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(img.Meta.Spec, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["overlap"] = json.RawMessage("1")
+	raw, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Meta.Spec = raw
+	enc, err := snapshot.Encode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img, err = snapshot.Decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(img.Meta.Spec, []byte(`"overlap":1`)) {
+		t.Fatalf("spliced field lost in the container: %s", img.Meta.Spec)
+	}
+
+	got, err := SpecFromImage(img)
+	if err != nil {
+		t.Fatalf("SpecFromImage: %v", err)
+	}
+	if want := spec.withDefaults(); !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded spec:\n  want %+v\n  got  %+v", want, got)
+	}
+	out, err := ResumeMission(img, nil, false)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if out.Result.Fingerprint != ref.Result.Fingerprint {
+		t.Errorf("restored fingerprint %016x, uninterrupted %016x", out.Result.Fingerprint, ref.Result.Fingerprint)
+	}
+	checkParity(t, ref, out)
 }

@@ -57,7 +57,6 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		"rose_cosim_rtl_quantum_seconds_count",
 		"rose_cosim_env_quantum_seconds_count",
 		"rose_cosim_exchange_seconds_count",
-		"rose_cosim_overlap_stall_seconds_count",
 		"rose_rpc_bytes_in_total",
 		"rose_rpc_bytes_out_total",
 		"rose_bridge_rx_queue_bytes",
@@ -150,17 +149,17 @@ func TestNilSuite(t *testing.T) {
 		t.Error("nil CoreObs.Start must return the zero time (no clock read)")
 	}
 	c.ObserveRTL(st)
-	c.ObserveEnv(st)
+	c.ObserveEnv(st, st, st)
 	c.ObserveExchange(st)
-	c.ObserveStall(st)
 	c.ObserveQuantum(st)
 }
 
 func TestSuiteSummary(t *testing.T) {
 	s := New(16)
 	base := time.Now().Add(-10 * time.Millisecond)
-	s.Core.ObserveEnv(base)     // ~10ms concurrent env work
-	s.Core.ObserveRTL(base)     // ~10ms rtl work
+	// Serial phases: env step 0–2ms, rtl 2ms–now, telemetry 9ms–now.
+	s.Core.ObserveEnv(base, base.Add(2*time.Millisecond), base.Add(9*time.Millisecond))
+	s.Core.ObserveRTL(base.Add(2 * time.Millisecond))
 	s.Core.ObserveQuantum(base) // ~10ms total
 	s.App.Inferences.Inc()
 	s.App.Latency.Observe(3 * time.Millisecond)
@@ -180,6 +179,13 @@ func TestSuiteSummary(t *testing.T) {
 	if sum.RTLShare < 0.5 || sum.RTLShare > 1.5 {
 		t.Errorf("rtl share = %v", sum.RTLShare)
 	}
+	// Both env pieces land in one observation: ~3ms of the ~10ms quantum.
+	if sum.EnvShare < 0.2 || sum.EnvShare > 0.6 {
+		t.Errorf("env share = %v, want ~0.3", sum.EnvShare)
+	}
+	if n := s.Core.Env.Count(); n != 1 {
+		t.Errorf("env observations = %d, want 1 per quantum", n)
+	}
 	if sum.RPCRoundTrips != 5 {
 		t.Errorf("rpc round-trips = %d, want 4 sync + 1 batched", sum.RPCRoundTrips)
 	}
@@ -189,8 +195,8 @@ func TestSuiteSummary(t *testing.T) {
 	if sum.Inferences != 1 || sum.MeanInferSec < 0.002 {
 		t.Errorf("inference digest = %d/%v", sum.Inferences, sum.MeanInferSec)
 	}
-	if sum.TraceEvents != 3 {
-		t.Errorf("trace events = %d, want 3", sum.TraceEvents)
+	if sum.TraceEvents != 4 {
+		t.Errorf("trace events = %d, want 4 (two env.quantum, rtl, quantum)", sum.TraceEvents)
 	}
 }
 

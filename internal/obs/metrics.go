@@ -5,14 +5,14 @@
 //
 // The paper's evaluation measures the co-simulation itself — where
 // wall-clock time goes inside a synchronization quantum (RTL vs. env vs.
-// exchange vs. overlap stall), bridge queue occupancy, and simulation rate
+// exchange), bridge queue occupancy, and simulation rate
 // (§5–6, Fig. 9–11). This package makes those measurements first-class and
 // cheap enough to leave compiled into the hot path:
 //
 //   - Every record method is nil-safe: a disabled instrument is a nil
-//     pointer and each hook reduces to one branch, so the overlapped
-//     synchronizer path from PR 2 stays allocation-free and within noise
-//     of its baseline when observability is off.
+//     pointer and each hook reduces to one branch, so the synchronizer's
+//     quantum loop stays allocation-free and within noise of its
+//     baseline when observability is off.
 //   - When enabled, recording is a few atomic operations into
 //     preallocated storage — no locks, no allocations, on any hot path.
 //

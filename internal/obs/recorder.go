@@ -95,7 +95,6 @@ type QuantumRecord struct {
 	RTLNs         int64           `json:"rtl_ns"`
 	EnvNs         int64           `json:"env_ns"`
 	ExchangeNs    int64           `json:"exchange_ns"`
-	StallNs       int64           `json:"stall_ns"`
 	EnergyPJ      uint64          `json:"energy_pj,omitempty"`
 	PowerMW       int64           `json:"power_mw,omitempty"`
 	HasPower      bool            `json:"has_power,omitempty"`
@@ -241,12 +240,14 @@ func (r *Recorder) CheckStall(deadline time.Duration) bool {
 		return false // already reported this stall
 	}
 	r.Stalls.Inc()
-	r.WatchdogDumps.Inc()
 	r.log.Error("quantum watchdog fired",
 		Uint("seq", r.lastSeq.Load()),
 		Dur("deadline", deadline),
 		Dur("stalled_for", time.Duration(r.now().UnixNano()-beat)))
 	r.dumpFile("watchdog", nil)
+	// The *Dumps counters move only once the file is complete, so a reader
+	// that polls them never opens a half-written bundle.
+	r.WatchdogDumps.Inc()
 	return true
 }
 
@@ -307,8 +308,8 @@ func (r *Recorder) TriggerFault(reason string) {
 	if r == nil {
 		return
 	}
-	r.FaultDumps.Inc()
 	r.dumpFile("fault: "+reason, nil)
+	r.FaultDumps.Inc()
 }
 
 // TriggerPanic dumps the black box for a recovered panic, embedding the
@@ -317,9 +318,9 @@ func (r *Recorder) TriggerPanic(p any) {
 	if r == nil {
 		return
 	}
-	r.PanicDumps.Inc()
 	r.log.Error("panic", Str("value", fmt.Sprint(p)))
 	r.dumpFile(fmt.Sprintf("panic: %v", p), debug.Stack())
+	r.PanicDumps.Inc()
 }
 
 // dumpFile writes a bundle to the configured path.

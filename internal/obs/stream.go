@@ -19,7 +19,6 @@ type StreamFrame struct {
 	RTLNs      int64 `json:"rtl_ns"`
 	EnvNs      int64 `json:"env_ns"`
 	ExchangeNs int64 `json:"exchange_ns"`
-	StallNs    int64 `json:"stall_ns"`
 
 	// Engine activity and energy at quantum end.
 	Cycles   uint64 `json:"cycles"`

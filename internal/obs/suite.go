@@ -235,15 +235,15 @@ func (s *Suite) WriteTrace(w io.Writer, host string) error {
 	return err
 }
 
-// CoreObs instruments the synchronizer: one histogram and one trace track
-// per quantum phase. Phase taxonomy (DESIGN.md §6):
+// CoreObs instruments the synchronizer: one histogram per quantum phase,
+// and one span per phase on the synchronizer track, nested under the
+// quantum's span. Phase taxonomy (DESIGN.md §6):
 //
-//	exchange      — boundary packet exchange (pull, serve, push)
-//	rtl.quantum   — rtl.Step burning SyncCycles
-//	env.quantum   — env.StepFrames + boundary telemetry (worker track)
-//	overlap.stall — synchronizer waiting on the env worker after the RTL
-//	                quantum returned (overlap imbalance)
-//	quantum       — the whole loop iteration
+//	exchange    — boundary packet exchange (pull, serve, push)
+//	env.quantum — env.StepFrames plus the boundary telemetry sample (two
+//	              spans around rtl.quantum, one histogram observation)
+//	rtl.quantum — rtl.Step burning SyncCycles
+//	quantum     — the whole loop iteration
 type CoreObs struct {
 	tracer *Tracer
 	run    *TraceContext
@@ -251,14 +251,12 @@ type CoreObs struct {
 	log    *Logger
 
 	// Per-quantum scratch for the flight recorder, written between
-	// BeginQuantum and EndQuantum. All atomic: curEnv is written by the
-	// overlapped env worker, and sweep runs share one suite across
-	// concurrent missions (their records may interleave, but stay
+	// BeginQuantum and EndQuantum. All atomic: sweep runs share one suite
+	// across concurrent missions (their records may interleave, but stay
 	// race-free).
 	curSeq      atomic.Uint64
 	curRTL      atomic.Int64
 	curExchange atomic.Int64
-	curStall    atomic.Int64
 	curEnv      atomic.Int64
 	curEnergy   atomic.Uint64 // cumulative simulated energy at quantum end, pJ
 	curPowerMW  atomic.Int64  // this quantum's simulated power, mW
@@ -274,13 +272,12 @@ type CoreObs struct {
 	streamBrg *BridgeObs
 	streamApp *AppObs
 
-	Quanta       *Counter
-	Quantum      *Histogram
-	RTL          *Histogram
-	Env          *Histogram
-	Exchange     *Histogram
-	OverlapStall *Histogram
-	Fingerprint  *Gauge
+	Quanta      *Counter
+	Quantum     *Histogram
+	RTL         *Histogram
+	Env         *Histogram
+	Exchange    *Histogram
+	Fingerprint *Gauge
 }
 
 func newCoreObs(ins Instruments, tr *Tracer, run *TraceContext, rec *Recorder, log *Logger) *CoreObs {
@@ -299,8 +296,6 @@ func newCoreObs(ins Instruments, tr *Tracer, run *TraceContext, rec *Recorder, l
 			"Wall time of the environment quantum (frames plus telemetry).", nil),
 		Exchange: ins.Histogram("rose_cosim_exchange_seconds",
 			"Wall time of boundary packet exchange.", nil),
-		OverlapStall: ins.Histogram("rose_cosim_overlap_stall_seconds",
-			"Wall time the synchronizer waited on the env worker after the RTL quantum finished.", nil),
 		Fingerprint: ins.Gauge("rose_cosim_fingerprint",
 			"Rolling determinism fingerprint after the most recent quantum (FNV-1a 64, stored as int64 bits)."),
 	}
@@ -341,7 +336,6 @@ func (o *CoreObs) BeginQuantum() time.Time {
 	o.curSeq.Store(seq)
 	o.curRTL.Store(0)
 	o.curExchange.Store(0)
-	o.curStall.Store(0)
 	o.curEnv.Store(0)
 	o.curPowerMW.Store(0)
 	o.hasPower.Store(false)
@@ -392,15 +386,22 @@ func (o *CoreObs) ObserveRTL(start time.Time) {
 	o.span("rtl.quantum", TrackSync, start, end, o.RTL)
 }
 
-// ObserveEnv records one environment quantum (called from the overlap
-// worker, or inline in serial mode).
-func (o *CoreObs) ObserveEnv(start time.Time) {
+// ObserveEnv records one environment quantum from its two pieces, which
+// run on either side of the RTL quantum: env.StepFrames over
+// [stepStart, stepEnd) and the boundary telemetry sample from telStart to
+// now. Each piece gets an env.quantum span; the histogram and the quantum
+// record get their sum.
+func (o *CoreObs) ObserveEnv(stepStart, stepEnd, telStart time.Time) {
 	if o == nil {
 		return
 	}
 	end := time.Now()
-	o.curEnv.Store(end.Sub(start).Nanoseconds())
-	o.span("env.quantum", TrackEnv, start, end, o.Env)
+	d := stepEnd.Sub(stepStart) + end.Sub(telStart)
+	o.curEnv.Store(d.Nanoseconds())
+	o.Env.Observe(d)
+	seq := o.curSeq.Load()
+	o.tracer.SpanQ("env.quantum", TrackSync, stepStart, stepEnd, seq)
+	o.tracer.SpanQ("env.quantum", TrackSync, telStart, end, seq)
 }
 
 // ObserveExchange records one boundary exchange.
@@ -411,16 +412,6 @@ func (o *CoreObs) ObserveExchange(start time.Time) {
 	end := time.Now()
 	o.curExchange.Store(end.Sub(start).Nanoseconds())
 	o.span("exchange", TrackSync, start, end, o.Exchange)
-}
-
-// ObserveStall records the post-RTL wait for the env worker's quantum.
-func (o *CoreObs) ObserveStall(start time.Time) {
-	if o == nil {
-		return
-	}
-	end := time.Now()
-	o.curStall.Store(end.Sub(start).Nanoseconds())
-	o.span("overlap.stall", TrackSync, start, end, o.OverlapStall)
 }
 
 // ObservePower records one quantum's simulated-power sample: the SoC's
@@ -464,7 +455,6 @@ func (o *CoreObs) EndQuantum(start time.Time, sample TelemetrySample, hasTel boo
 			RTLNs:         o.curRTL.Load(),
 			EnvNs:         o.curEnv.Load(),
 			ExchangeNs:    o.curExchange.Load(),
-			StallNs:       o.curStall.Load(),
 			EnergyPJ:      o.curEnergy.Load(),
 			PowerMW:       o.curPowerMW.Load(),
 			HasPower:      o.hasPower.Load(),
@@ -483,7 +473,6 @@ func (o *CoreObs) EndQuantum(start time.Time, sample TelemetrySample, hasTel boo
 			RTLNs:           o.curRTL.Load(),
 			EnvNs:           o.curEnv.Load(),
 			ExchangeNs:      o.curExchange.Load(),
-			StallNs:         o.curStall.Load(),
 			EnergyPJ:        o.curEnergy.Load(),
 			PowerMW:         o.curPowerMW.Load(),
 			TimeSec:         sample.TimeSec,
@@ -782,8 +771,8 @@ func newAppObs(ins Instruments) *AppObs {
 }
 
 // Summary is the end-of-run digest of a suite — the numbers the CLI health
-// strip prints (quanta/sec, mean quantum wall time, overlap stall share,
-// traffic and queue high-water marks).
+// strip prints (quanta/sec, mean quantum wall time, phase shares, traffic
+// and queue high-water marks).
 type Summary struct {
 	WallSeconds    float64
 	Quanta         uint64
@@ -791,19 +780,12 @@ type Summary struct {
 	MeanQuantumSec float64
 	P99QuantumSec  float64
 
-	// Phase shares of total measured quantum wall time, in [0, 1].
-	// RTLShare, ExchangeShare, and StallShare are phases of the
-	// synchronizer track, so together they break down quantum wall time
-	// and sum to at most 1. EnvShare is the environment worker track's
-	// busy time over the same denominator: in overlapped mode the env
-	// quantum runs concurrently with the RTL quantum, so it is NOT part
-	// of the wall-time breakdown (env time the synchronizer actually
-	// waited on already shows up as StallShare) and must be presented as
-	// a concurrent-track percentage.
+	// Phase shares of total measured quantum wall time, in [0, 1]. The
+	// phases run one after another on the synchronizer goroutine, so
+	// together they break down quantum wall time and sum to at most 1.
 	RTLShare      float64
 	EnvShare      float64
 	ExchangeShare float64
-	StallShare    float64
 
 	RPCRoundTrips uint64
 	RPCBytesIn    uint64
@@ -909,7 +891,6 @@ func (s *Suite) Summary() Summary {
 		sum.RTLShare = r.AggHist("rose_cosim_rtl_quantum_seconds").Sum().Seconds() / total
 		sum.EnvShare = r.AggHist("rose_cosim_env_quantum_seconds").Sum().Seconds() / total
 		sum.ExchangeShare = r.AggHist("rose_cosim_exchange_seconds").Sum().Seconds() / total
-		sum.StallShare = r.AggHist("rose_cosim_overlap_stall_seconds").Sum().Seconds() / total
 	}
 	return sum
 }

@@ -16,9 +16,8 @@ import (
 // Recording claims a slot with one atomic increment and publishes a
 // fixed-size event behind a per-slot sequence counter (a seqlock: the
 // writer bumps the sequence to odd, stores the fields, bumps it to even)
-// — no locks, no allocation — so spans can be emitted from the
-// synchronizer goroutine and the overlapped environment worker
-// concurrently. Span names are interned into a fixed table and slots hold
+// — no locks, no allocation — so spans can be emitted from concurrent
+// missions, RPC clients and the env server at once. Span names are interned into a fixed table and slots hold
 // only the interned ID, so a concurrent export never observes a torn
 // string. Readers retry a slot whose sequence is odd or changed mid-read
 // and skip it if the writer is still in flight, which makes
@@ -59,11 +58,10 @@ const maxTraceNames = 1024
 const overflowName = "…"
 
 // Track IDs for the co-simulation trace taxonomy. Chrome renders each tid
-// as its own row, mirroring Figure 5's two simulators plus the
-// synchronizer between them.
+// as its own row. tid 2 is retired; the other IDs keep their values so
+// traces from older builds still line up.
 const (
-	TrackSync  = 1 // synchronizer: exchange, RTL quantum, overlap stall
-	TrackEnv   = 2 // environment worker: env quantum (frames + telemetry)
+	TrackSync  = 1 // synchronizer: quantum, exchange, env and RTL quanta
 	TrackRPC   = 3 // RPC client: rpc.roundtrip spans
 	TrackServe = 4 // env server: serve.* request spans
 	TrackPower = 5 // simulated power rail: power_mw counter samples

@@ -57,7 +57,7 @@ func TestTracerChromeExport(t *testing.T) {
 	tr := NewTracer(16)
 	base := time.Now()
 	tr.Span("rtl.quantum", TrackSync, base, base.Add(2*time.Millisecond))
-	tr.Span("env.quantum", TrackEnv, base, base.Add(3*time.Millisecond))
+	tr.Span("env.quantum", TrackRPC, base, base.Add(3*time.Millisecond))
 	tr.Span("exchange", TrackSync, base.Add(3*time.Millisecond), base.Add(3100*time.Microsecond))
 
 	var buf bytes.Buffer
@@ -74,8 +74,53 @@ func TestTracerChromeExport(t *testing.T) {
 	if got := *events[0].Dur; got < 1999 || got > 2001 {
 		t.Errorf("rtl dur = %v µs, want ~2000", got)
 	}
-	if *events[1].TID != TrackEnv {
-		t.Errorf("env span tid = %d, want %d", *events[1].TID, TrackEnv)
+	if *events[1].TID != TrackRPC {
+		t.Errorf("event 1 tid = %d, want %d", *events[1].TID, TrackRPC)
+	}
+}
+
+// TestCoreSpansNestUnderQuantum checks that every synchronizer phase span
+// lands on the synchronizer track inside its quantum's span, so Perfetto
+// draws env.quantum (both pieces), rtl.quantum and exchange as children of
+// quantum, tagged with the quantum's sequence.
+func TestCoreSpansNestUnderQuantum(t *testing.T) {
+	s := New(16)
+	c := s.Core
+	q0 := c.BeginQuantum()
+	c.ObserveExchange(q0)
+	t0 := c.Start()
+	t1 := c.Start()
+	c.ObserveRTL(t1)
+	c.ObserveEnv(t0, t1, c.Start())
+	c.EndQuantum(q0, TelemetrySample{}, false)
+
+	events := s.Tracer.Snapshot(16)
+	var quantum Event
+	envSpans := 0
+	for _, e := range events {
+		if e.Name == "quantum" {
+			quantum = e
+		}
+	}
+	if quantum.Name == "" {
+		t.Fatalf("no quantum span in %+v", events)
+	}
+	for _, e := range events {
+		if e.TID != TrackSync {
+			t.Errorf("%s on tid %d, want %d", e.Name, e.TID, TrackSync)
+		}
+		if e.Start < quantum.Start || e.Start+e.Dur > quantum.Start+quantum.Dur {
+			t.Errorf("%s [%d, +%d] outside quantum [%d, +%d]", e.Name, e.Start, e.Dur, quantum.Start, quantum.Dur)
+		}
+		if !e.HasSeq || e.Seq != quantum.Seq {
+			t.Errorf("%s seq = %d/%v, want %d", e.Name, e.Seq, e.HasSeq, quantum.Seq)
+		}
+		if e.Name == "env.quantum" {
+			envSpans++
+		}
+	}
+	if len(events) != 5 || envSpans != 2 {
+		t.Errorf("%d spans (%d env.quantum), want 5 (2)", len(events), envSpans)
 	}
 }
 
@@ -182,8 +227,8 @@ func TestTracerNameIntern(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	// Spans land from the synchronizer goroutine and the env worker
-	// concurrently; this is the -race exercise of the atomic slot claim.
+	// Spans land from concurrent missions, RPC clients and the env server
+	// at once; this is the -race exercise of the atomic slot claim.
 	tr := NewTracer(1 << 12)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -51,12 +51,10 @@ func HealthStrip(s obs.Summary) string {
 		s.Quanta, s.WallSeconds, s.QuantaPerSec)
 	fmt.Fprintf(&b, "  quantum    mean %s  p99 %s\n",
 		fmtSec(s.MeanQuantumSec), fmtSec(s.P99QuantumSec))
-	// rtl/exchange/stall partition the synchronizer's wall time; the env
-	// quantum runs on its own track (concurrently with RTL when
-	// overlapped), so it is printed separately rather than folded into
-	// the breakdown, where it would push the total past 100%.
-	fmt.Fprintf(&b, "  phases     rtl %.0f%%  exchange %.0f%%  stall %.0f%%  (env track %.0f%%, concurrent)\n",
-		s.RTLShare*100, s.ExchangeShare*100, s.StallShare*100, s.EnvShare*100)
+	// The phases run back to back, so their shares of the quantum wall
+	// time sum to at most 100%; the rest is loop bookkeeping.
+	fmt.Fprintf(&b, "  phases     rtl %.0f%%  exchange %.0f%%  env %.0f%%\n",
+		s.RTLShare*100, s.ExchangeShare*100, s.EnvShare*100)
 	fmt.Fprintf(&b, "  rpc        %d round-trips  %s out  %s in\n",
 		s.RPCRoundTrips, fmtBytes(s.RPCBytesOut), fmtBytes(s.RPCBytesIn))
 	fmt.Fprintf(&b, "  bridge     rx hwm %s  tx hwm %s  drops %d\n",

@@ -253,7 +253,7 @@ func TestHealthStrip(t *testing.T) {
 	strip := HealthStrip(obs.Summary{
 		WallSeconds: 2, Quanta: 120, QuantaPerSec: 60,
 		MeanQuantumSec: 0.016, P99QuantumSec: 0.031,
-		RTLShare: 0.55, EnvShare: 0.80, ExchangeShare: 0.05, StallShare: 0.25,
+		RTLShare: 0.55, ExchangeShare: 0.05, EnvShare: 0.30,
 		RPCRoundTrips: 240, RPCBytesOut: 4 << 10, RPCBytesIn: 3 << 20,
 		BridgeRxHWM: 9216, BridgeTxHWM: 40, RxDrops: 1,
 		Inferences: 118, MeanInferSec: 0.0021,
@@ -262,7 +262,7 @@ func TestHealthStrip(t *testing.T) {
 	for _, want := range []string{
 		"120 in 2.0s wall (60.0 quanta/s)",
 		"mean 16.00ms  p99 31.00ms",
-		"rtl 55%  exchange 5%  stall 25%  (env track 80%, concurrent)",
+		"rtl 55%  exchange 5%  env 30%",
 		"240 round-trips  4.0KiB out  3.0MiB in",
 		"rx hwm 9.0KiB  tx hwm 40B  drops 1",
 		"118 runs  mean 2.10ms",

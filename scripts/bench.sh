@@ -5,8 +5,8 @@
 #
 #	sh scripts/bench.sh [PR-number]
 #
-# The snapshot captures the synchronizer hot path (serial vs overlapped
-# quantum execution), the distributed RPC path (allocs must stay 0), and —
+# The snapshot captures the synchronizer hot path (one mission step), the
+# distributed RPC path (allocs must stay 0), and —
 # since PR 3 — the observability overhead: each obs-enabled benchmark is
 # paired with its disabled twin and the relative delta is recorded. Since
 # PR 4 the observed RPC path also carries trace-context stamping, and the
@@ -39,7 +39,7 @@ trap 'rm -f "$raw" "$prevpairs"' EXIT
 
 echo "== benchmarks (this takes a few minutes: models train once) =="
 go test -run xxx \
-    -bench 'BenchmarkMissionStep$|BenchmarkMissionStepOverlapped$|BenchmarkMissionStepSerial$|BenchmarkMissionStepObserved$|BenchmarkMissionStepEnergyOff$|BenchmarkQuantumTCP$|BenchmarkQuantumTCPObserved$|BenchmarkQuantumTCPFaultnet$|BenchmarkQuantumTCPResilient$' \
+    -bench 'BenchmarkMissionStep$|BenchmarkMissionStepObserved$|BenchmarkMissionStepEnergyOff$|BenchmarkQuantumTCP$|BenchmarkQuantumTCPObserved$|BenchmarkQuantumTCPFaultnet$|BenchmarkQuantumTCPResilient$' \
     -benchtime 4x -benchmem . | tee "$raw"
 
 echo "== energy ledger cost (drift-cancelling pair) =="
@@ -172,7 +172,7 @@ END {
     # obs-enabled vs obs-disabled deltas: (observed - baseline) / baseline,
     # per metric pairs of (observed benchmark, its disabled twin). The fleet
     # pairs record the batching/precision levers against the solo baseline.
-    pairs["BenchmarkMissionStepObserved"]  = "BenchmarkMissionStepOverlapped"
+    pairs["BenchmarkMissionStepObserved"]  = "BenchmarkMissionStep"
     pairs["BenchmarkMissionStep"]          = "BenchmarkMissionStepEnergyOff"
     pairs["BenchmarkQuantumTCPObserved"]   = "BenchmarkQuantumTCP"
     pairs["BenchmarkLogEventEnabled"]      = "BenchmarkLogEventDisabled"

@@ -30,8 +30,9 @@ go test -race -shuffle=on ./...
 
 echo "== go test -race (observability hot paths) =="
 # Re-run the packages whose instrumentation is exercised from multiple
-# goroutines (synchronizer + env worker + RPC server) with -count=1 so the
-# obs hooks are always raced fresh, never served from the test cache.
+# goroutines (concurrent missions sharing a suite, the RPC client, the env
+# server, the watchdog) with -count=1 so the obs hooks are always raced
+# fresh, never served from the test cache.
 go test -race -count=1 ./internal/core/... ./internal/env/... ./internal/obs/...
 
 echo "== GEMM kernel parity matrix (forced kernels) =="
@@ -49,19 +50,21 @@ done
 
 echo "== fingerprint parity matrix =="
 # Determinism fingerprints: the rolling per-quantum FNV-1a chain must be
-# identical local vs TCP-remote RTL, and the live-divergence bisector must
-# localize an injected bit flip to the quantum where it happened.
-go test -race -count=1 -run 'TestFingerprintParityLocalRemote|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum' ./internal/experiments/
+# identical local vs TCP-remote RTL and at GOMAXPROCS=1 vs N (the GEMM and
+# render fan-outs), and the live-divergence bisector must localize an
+# injected bit flip to the quantum where it happened.
+go test -race -count=1 -run 'TestFingerprintParityLocalRemote|TestFingerprintParityGOMAXPROCS|TestLiveDivergenceRemoteRTL|TestFirstDivergentQuantum' ./internal/experiments/
 
 echo "== snapshot parity matrix =="
 # Warm-start correctness: snapshot -> restore -> run must be byte-identical
-# to the uninterrupted mission, across maps, overlap modes, and the
-# TCP-remote RTL, raced fresh every time.
-go test -race -count=1 -run 'TestSnapshotParity' ./internal/experiments/
+# to the uninterrupted mission, across maps and the TCP-remote RTL, and an
+# image carrying a since-removed meta-spec field must still restore, raced
+# fresh every time.
+go test -race -count=1 -run 'TestSnapshotParity|TestRestoreImageWithOverlapField' ./internal/experiments/
 
 echo "== energy parity matrix =="
 # The energy ledger's determinism contract: byte-identical EnergyBreakdown
-# totals across {overlap, serial} x {local, TCP-remote RTL}, pre-energy
+# totals for local and TCP-remote RTL, pre-energy
 # images restoring with a zeroed ledger, and EnergyOff leaving the mission's
 # timing and trajectory untouched.
 go test -race -count=1 -run 'TestEnergy|TestRestorePreEnergyImage' ./internal/experiments/
