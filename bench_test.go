@@ -65,13 +65,12 @@ func runExperiment(b *testing.B, id string, models ...string) {
 // quantum renders the FPV frame, exchanges bridge packets, runs DNN
 // inference on the SoC model, and steps physics. Reported both as ns/op
 // for the short mission and ns/quantum for the per-step cost.
-func benchMission(b *testing.B, suite *obs.Suite, energyOff bool) {
+func benchMission(b *testing.B, suite *obs.Suite) {
 	b.Helper()
 	pretrain(b, "ResNet6")
 	spec := experiments.MissionSpec{
 		Map: "tunnel", Model: "ResNet6", HW: config.A,
 		VForward: 3, MaxSimSec: 2, Obs: suite,
-		EnergyOff: energyOff,
 	}
 	// Warm the shared trained-model cache and the world registry outside the
 	// timer, then measure steady-state quanta.
@@ -94,14 +93,14 @@ func benchMission(b *testing.B, suite *obs.Suite, energyOff bool) {
 
 // BenchmarkMissionStep measures the default configuration with
 // observability disabled — every hook is a nil check.
-func BenchmarkMissionStep(b *testing.B) { benchMission(b, nil, false) }
+func BenchmarkMissionStep(b *testing.B) { benchMission(b, nil) }
 
 // BenchmarkMissionStepEnergyPaired alternates energy-accounting-on and
 // EnergyOff missions inside one timing loop so shared-vCPU drift cancels,
 // and reports the ledger's cost directly as energy_overhead_pct — the
-// authoritative number for the ≤1.5% contract. The standalone
-// MissionStep/MissionStepEnergyOff pair samples two different moments of
-// machine noise, which on a shared host flaps more than the effect.
+// authoritative number for the ≤1.5% contract. Two standalone runs would
+// sample two different moments of machine noise, which on a shared host
+// flaps more than the effect.
 func BenchmarkMissionStepEnergyPaired(b *testing.B) {
 	pretrain(b, "ResNet6")
 	specFor := func(off bool) experiments.MissionSpec {
@@ -137,7 +136,7 @@ func BenchmarkMissionStepEnergyPaired(b *testing.B) {
 // quantifying the enabled-instrumentation overhead against
 // BenchmarkMissionStep.
 func BenchmarkMissionStepObserved(b *testing.B) {
-	benchMission(b, obs.New(-1), false)
+	benchMission(b, obs.New(-1))
 }
 
 // BenchmarkMissionStepStreamPaired alternates a bare mission and a mission
@@ -194,15 +193,6 @@ func BenchmarkMissionStepStreamPaired(b *testing.B) {
 		base, obsd = base+t1.Sub(t0), obsd+time.Since(t1)
 	}
 	b.ReportMetric((float64(obsd)/float64(base)-1)*100, "stream_fprint_overhead_pct")
-}
-
-// BenchmarkMissionStepEnergyOff disables the energy ledger
-// (soc.Config.EnergyOff): the baseline of the energy-accounting overhead
-// pair. The default BenchmarkMissionStep charges energy at every pricing
-// site, so its delta against this twin is the full cost of the ledger —
-// integer adds on already-priced paths, required to stay in the noise.
-func BenchmarkMissionStepEnergyOff(b *testing.B) {
-	benchMission(b, nil, true)
 }
 
 // benchFleet measures host throughput — missions/sec/host, the paper's
@@ -514,52 +504,23 @@ func BenchmarkAblationPolicy(b *testing.B) {
 	runExperiment(b, "ablation-policy", "ResNet6")
 }
 
-// warmstartBenchSetup is the shared sweep shape for the warm-start
-// benchmarks: 8 variants of an 8-second tunnel mission diverging at 75% of
-// the budget (360 of 480 quanta), serial on both sides so the comparison
-// isolates the replayed-prefix cost.
-func warmstartBenchSetup(b *testing.B) (experiments.MissionSpec, uint64, []int64) {
-	b.Helper()
+// BenchmarkWarmstartPaired interleaves cold and warm sweeps in one timing
+// loop so host-frequency drift cancels; warm_speedup_x is the headline
+// warm-start number (>= 2x at a 75% shared prefix). The sweep is 8 variants
+// of an 8-second tunnel mission diverging at 75% of the budget (360 of 480
+// quanta), serial on both sides so the comparison isolates the
+// replayed-prefix cost.
+func BenchmarkWarmstartPaired(b *testing.B) {
 	pretrain(b, "ResNet6")
 	spec := experiments.MissionSpec{
 		Map: "tunnel", Model: "ResNet6", HW: config.A,
 		VForward: 3, Seed: 7, MaxSimSec: 8,
 	}
+	const prefix = 360
 	seeds := make([]int64, 8)
 	for i := range seeds {
 		seeds[i] = int64(1000 + i)
 	}
-	return spec, 360, seeds
-}
-
-// BenchmarkSweepCold replays the full shared prefix for every sweep point.
-func BenchmarkSweepCold(b *testing.B) {
-	spec, prefix, seeds := warmstartBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunColdSweep(spec, prefix, seeds, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepWarm runs the prefix once per sweep, snapshots at the
-// divergence quantum, and forks per sweep point.
-func BenchmarkSweepWarm(b *testing.B) {
-	spec, prefix, seeds := warmstartBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunWarmSweep(spec, prefix, seeds, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWarmstartPaired interleaves cold and warm sweeps in one timing
-// loop so host-frequency drift cancels; warm_speedup_x is the headline
-// warm-start number (>= 2x at a 75% shared prefix).
-func BenchmarkWarmstartPaired(b *testing.B) {
-	spec, prefix, seeds := warmstartBenchSetup(b)
 	var coldNS, warmNS time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -57,10 +57,11 @@ func TestRestorePreEnergyImage(t *testing.T) {
 		t.Fatalf("pre-energy restore failed: %v", err)
 	}
 	defer ms.close()
-	got, err := ms.run()
+	outs, err := drive([]*mission{ms}, 0, nil)
 	if err != nil {
 		t.Fatalf("restored run: %v", err)
 	}
+	got := outs[0]
 	// Trajectory parity is unaffected — the ledger is observation-only.
 	checkTrajectory(t, ref, got)
 	if !got.Result.HasEnergy {

@@ -6,8 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/app"
 	"repro/internal/config"
@@ -288,9 +286,10 @@ func (spec MissionSpec) newController(log *app.Log, scn *scenario.Spec) (soc.Sta
 	return app.NewStaticLoop(bigSess, ctrl, log), nil
 }
 
-// mission is one assembled co-simulation, ready to run — either one-shot
-// via run(), or stepwise via sy.Start/StepQuanta/Finish with a snapshot
-// captured in between.
+// mission is one assembled co-simulation, ready for drive, the package's one
+// driver, to start, step and finish. A drive hook at a quantum boundary may
+// reach the live layers (sim, mach, sy) to capture a snapshot, reseed the
+// sensors or inject a fault.
 type mission struct {
 	spec MissionSpec
 	m    *world.Map
@@ -428,15 +427,6 @@ func assemble(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image) (ms *
 	return ms, nil
 }
 
-// run drives an assembled mission to completion and packages the outcome.
-func (ms *mission) run() (*MissionOutcome, error) {
-	res, err := ms.sy.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}, nil
-}
-
 // RunMission executes one co-simulated mission with trained controllers.
 func RunMission(spec MissionSpec) (*MissionOutcome, error) {
 	ms, err := assemble(spec, nil, nil)
@@ -444,7 +434,11 @@ func RunMission(spec MissionSpec) (*MissionOutcome, error) {
 		return nil, err
 	}
 	defer ms.close()
-	return ms.run()
+	outs, err := drive([]*mission{ms}, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
 // Options scales experiment cost. Quick mode shortens missions and skips
@@ -482,62 +476,35 @@ func (o Options) stamp(specs []MissionSpec) []MissionSpec {
 		if o.Scenario != "" {
 			specs[i].Scenario = o.Scenario
 		}
-		if o.Obs != nil {
-			scnLabel := specs[i].Scenario
-			if scnLabel == "" {
-				scnLabel = "calm"
-			}
-			specs[i].ObsMission = o.Obs.Mission("",
-				[2]string{"map", specs[i].Map},
-				[2]string{"hw", specs[i].HW.Name},
-				[2]string{"precision", o.Precision.String()},
-				[2]string{"scenario", scnLabel})
-		}
+		specs[i].ObsMission = specs[i].obsScope()
 	}
 	return specs
 }
 
-// runMissions executes the specs on a bounded worker pool and returns the
-// outcomes indexed exactly like specs. Every spec is attempted; the first
-// error in spec order (not completion order) is returned, keeping failure
-// reporting deterministic too.
-func runMissions(specs []MissionSpec, workers int) ([]*MissionOutcome, error) {
-	outs := make([]*MissionOutcome, len(specs))
-	errs := make([]error, len(specs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// obsScope opens a new per-mission observability scope on the spec's suite,
+// labeled with its map, hardware, precision and scenario; nil without a
+// suite.
+func (spec MissionSpec) obsScope() *obs.MissionObs {
+	if spec.Obs == nil {
+		return nil
 	}
-	if workers > len(specs) {
-		workers = len(specs)
+	scnLabel := spec.Scenario
+	if scnLabel == "" {
+		scnLabel = "calm"
 	}
-	if workers <= 1 {
-		for i, sp := range specs {
-			outs[i], errs[i] = RunMission(sp)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i], errs[i] = RunMission(specs[i])
-				}
-			}()
-		}
-		for i := range specs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
+	return spec.Obs.Mission("",
+		[2]string{"map", spec.Map},
+		[2]string{"hw", spec.HW.Name},
+		[2]string{"precision", spec.Precision.String()},
+		[2]string{"scenario", scnLabel})
+}
+
+// runAll runs every spec as one mission on the options' worker pool and
+// returns the outcomes indexed like specs.
+func (o Options) runAll(specs []MissionSpec) ([]*MissionOutcome, error) {
+	return outcomes(len(specs), o.Workers, func(i int) (*MissionOutcome, error) {
+		return RunMission(specs[i])
+	})
 }
 
 // maxSimSec returns the mission budget under the options.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
@@ -182,9 +183,10 @@ func TestAblationQueueQuick(t *testing.T) {
 }
 
 // TestRunMissionsParallelByteIdentical runs the same sweep through the
-// serial path and the bounded worker pool and requires the derived report
-// lines — formatted exactly as the figure harnesses format theirs — to be
-// byte-identical, along with every trajectory sample bit.
+// worker pool (ForEach, via Options.runAll) with one worker and with
+// several, and requires the derived report lines — formatted exactly as the
+// figure harnesses format theirs — to be byte-identical, along with every
+// trajectory sample bit.
 func TestRunMissionsParallelByteIdentical(t *testing.T) {
 	var specs []MissionSpec
 	for _, yaw := range []float64{-15, 0, 10, 20} {
@@ -202,13 +204,13 @@ func TestRunMissionsParallelByteIdentical(t *testing.T) {
 		}
 		return ls
 	}
-	serial, err := runMissions(specs, 1)
+	serial, err := Options{Workers: 1}.runAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := lines(serial)
 	for _, workers := range []int{2, 3, len(specs) + 2} {
-		par, err := runMissions(specs, workers)
+		par, err := Options{Workers: workers}.runAll(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,15 +234,32 @@ func TestRunMissionsParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunMissionsPropagatesError checks a failing spec surfaces its error
-// deterministically (first failure in spec order) from the parallel pool.
+// TestRunMissionsPropagatesError pins the pool's error contract: with a bad
+// model at index 0 and a bad map at index 1, ForEach attempts every index
+// and returns index 0's failure — first in index order, not completion
+// order — whatever the worker count.
 func TestRunMissionsPropagatesError(t *testing.T) {
 	specs := []MissionSpec{
-		{Map: "tunnel", Model: "ResNet6", HW: config.A, VForward: 3, MaxSimSec: 2},
+		{Map: "tunnel", Model: "NoSuchNet", HW: config.A, VForward: 3, MaxSimSec: 2},
 		{Map: "nowhere", Model: "ResNet6", HW: config.A, VForward: 3, MaxSimSec: 2},
+		{Map: "tunnel", Model: "ResNet6", HW: config.A, VForward: 3, MaxSimSec: 2},
 	}
-	if _, err := runMissions(specs, 3); err == nil {
-		t.Fatal("bad spec did not propagate an error")
+	for _, workers := range []int{1, 2, len(specs) + 2} {
+		var attempted atomic.Int32
+		err := ForEach(len(specs), workers, func(i int) error {
+			attempted.Add(1)
+			_, err := RunMission(specs[i])
+			return err
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: bad specs did not propagate an error", workers)
+		}
+		if !strings.Contains(err.Error(), "NoSuchNet") || strings.Contains(err.Error(), "nowhere") {
+			t.Errorf("workers=%d: error %q, want index 0's bad-model failure", workers, err)
+		}
+		if got := attempted.Load(); got != int32(len(specs)) {
+			t.Errorf("workers=%d: attempted %d of %d indices", workers, got, len(specs))
+		}
 	}
 }
 

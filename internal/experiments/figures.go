@@ -76,7 +76,7 @@ func Figure10(opt Options) (*Report, error) {
 			hws = append(hws, hw)
 		}
 	}
-	outs, err := runMissions(opt.stamp(specs), opt.Workers)
+	outs, err := opt.runAll(opt.stamp(specs))
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func Figure11(opt Options) (*Report, error) {
 			VForward: 9, MaxSimSec: opt.maxSimSec(),
 		})
 	}
-	outs, err := runMissions(opt.stamp(specs), opt.Workers)
+	outs, err := opt.runAll(opt.stamp(specs))
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func Figure12(opt Options) (*Report, error) {
 			VForward: v, MaxSimSec: opt.maxSimSec(),
 		})
 	}
-	outs, err := runMissions(opt.stamp(specs), opt.Workers)
+	outs, err := opt.runAll(opt.stamp(specs))
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +220,7 @@ func Figure14(opt Options) (*Report, error) {
 			})
 		}
 	}
-	outs, err := runMissions(opt.stamp(specs), opt.Workers)
+	outs, err := opt.runAll(opt.stamp(specs))
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +338,7 @@ func Figure16(opt Options) (*Report, error) {
 			MaxSimSec: opt.maxSimSec(),
 		})
 	}
-	outs, err := runMissions(opt.stamp(specs), opt.Workers)
+	outs, err := opt.runAll(opt.stamp(specs))
 	if err != nil {
 		return nil, err
 	}

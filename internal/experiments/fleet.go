@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/config"
@@ -53,10 +52,17 @@ func Fleet(opt Options) (*Report, error) {
 		return nil, err
 	}
 
-	solo, soloWall, err := runFleetConcurrent(specs)
+	// Every mission gets its own worker (workers = size): mandatory for
+	// batch members — a mission parked in the collector blocks its
+	// Machine.Step until the whole round arrives — and the fair baseline
+	// for solo mode.
+	fleet := Options{Workers: size}
+	start := time.Now()
+	solo, err := fleet.runAll(specs)
 	if err != nil {
 		return nil, err
 	}
+	soloWall := time.Since(start).Seconds()
 
 	batched := make([]MissionSpec, size)
 	copy(batched, specs)
@@ -71,10 +77,12 @@ func Fleet(opt Options) (*Report, error) {
 	for i := range batched {
 		batched[i].Batch = group
 	}
-	bat, batWall, err := runFleetConcurrent(batched)
+	start = time.Now()
+	bat, err := fleet.runAll(batched)
 	if err != nil {
 		return nil, err
 	}
+	batWall := time.Since(start).Seconds()
 
 	identical := true
 	for i := range solo {
@@ -103,31 +111,4 @@ func Fleet(opt Options) (*Report, error) {
 	rate.Add(float64(size), batRate)
 	r.Series = []telemetry.Series{rate}
 	return r, nil
-}
-
-// runFleetConcurrent runs every spec in its own goroutine — mandatory for
-// batch members (a mission parked in the collector blocks its Machine.Step
-// until the whole round arrives) and the fair baseline for solo mode — and
-// returns the outcomes with the fleet's wall-clock seconds.
-func runFleetConcurrent(specs []MissionSpec) ([]*MissionOutcome, float64, error) {
-	outs := make([]*MissionOutcome, len(specs))
-	errs := make([]error, len(specs))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := range specs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = RunMission(specs[i])
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return outs, wall, nil
 }

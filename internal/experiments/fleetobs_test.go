@@ -32,7 +32,7 @@ func TestFleetScopedMetricsSumToAggregate(t *testing.T) {
 			t.Fatalf("stamp left spec %d without a mission scope", i)
 		}
 	}
-	outs, err := runMissions(specs, 4)
+	outs, err := Options{Workers: 4}.runAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +95,36 @@ func TestFleetScopedMetricsSumToAggregate(t *testing.T) {
 		if !strings.Contains(text, line) {
 			t.Errorf("/metrics exposition missing %q", line)
 		}
+	}
+}
+
+// TestSwarmDronesStreamSeparately: an observed fleet gives every drone its
+// own mission scope, so the live stream carries one distinct mission ID per
+// drone rather than all drones publishing under the suite's parent ID.
+func TestSwarmDronesStreamSeparately(t *testing.T) {
+	suite := obs.New(0)
+	sub := suite.Bus.Subscribe(1 << 12)
+	defer suite.Bus.Unsubscribe(sub)
+	outs, err := RunSwarm(MissionSpec{
+		Map: "tunnel", HW: config.A, Scenario: "swarm:1",
+		MaxSimSec: 1, Obs: suite,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]int{}
+	for drained := false; !drained; {
+		select {
+		case f := <-sub.C():
+			ids[f.Mission]++
+		default:
+			drained = true
+		}
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("subscriber dropped %d frames", sub.Dropped())
+	}
+	if _, ok := ids[""]; ok || len(ids) != len(outs) {
+		t.Errorf("stream mission IDs %v, want %d distinct non-empty IDs (one per drone)", ids, len(outs))
 	}
 }

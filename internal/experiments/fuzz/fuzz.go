@@ -12,8 +12,6 @@ package fuzz
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -81,9 +79,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxSimSec <= 0 {
 		cfg.MaxSimSec = 6
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	return cfg
 }
 
@@ -111,40 +106,26 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fuzz: empty sweep (only=%q matched nothing)", cfg.Only)
 	}
 
-	res := &Result{}
 	type cell struct {
 		missions   int
 		violations []Violation
-		err        error
 	}
 	cells := make([]cell, len(grid))
-	workers := cfg.Workers
-	if workers > len(grid) {
-		workers = len(grid)
+	err := experiments.ForEach(len(grid), cfg.Workers, func(i int) error {
+		n, vs, err := fuzzOne(cfg, grid[i].scenarioName, grid[i].mapName)
+		if err != nil {
+			return fmt.Errorf("fuzz: scenario %s: %w", grid[i].scenarioName, err)
+		}
+		cells[i] = cell{missions: n, violations: vs}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				n, vs, err := fuzzOne(cfg, grid[i].scenarioName, grid[i].mapName)
-				cells[i] = cell{missions: n, violations: vs, err: err}
-			}
-		}()
-	}
-	for i := range grid {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 
+	res := &Result{}
 	for i, c := range cells {
 		res.Scenarios = append(res.Scenarios, grid[i].scenarioName)
-		if c.err != nil {
-			return nil, fmt.Errorf("fuzz: scenario %s: %w", grid[i].scenarioName, c.err)
-		}
 		res.Missions += c.missions
 		res.Violations = append(res.Violations, c.violations...)
 	}

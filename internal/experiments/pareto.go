@@ -60,7 +60,7 @@ func Pareto(opt Options) (*Report, error) {
 	if _, err := dnn.Trained(model); err != nil {
 		return nil, err
 	}
-	outs, err := runMissions(specs, opt.Workers)
+	outs, err := opt.runAll(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -105,10 +105,11 @@ func TestSnapshotParityLocal(t *testing.T) {
 				t.Fatalf("restore: %v", err)
 			}
 			defer ms.close()
-			got, err := ms.run()
+			outs, err := drive([]*mission{ms}, 0, nil)
 			if err != nil {
 				t.Fatalf("restored run: %v", err)
 			}
+			got := outs[0]
 			checkParity(t, ref, got)
 			if !reflect.DeepEqual(ref.Inferences, got.Inferences) {
 				t.Errorf("inference logs differ: %d records vs %d", len(ref.Inferences), len(got.Inferences))

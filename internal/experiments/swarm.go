@@ -31,7 +31,10 @@ func FleetSize(scenarioName string) int {
 
 // SwarmSpecs expands a fleet mission spec into its per-drone specs: drone i
 // gets its own scenario RNG stream block (via Drone), a decorrelated sensor
-// seed, and a lateral start lane. The scenario must name a fleet (Drones > 1).
+// seed, a lateral start lane, and — when the spec is observed without a
+// mission scope — its own observability scope, so each drone publishes
+// live-stream frames, metrics and its fingerprint gauge under its own
+// mission ID. The scenario must name a fleet (Drones > 1).
 func SwarmSpecs(spec MissionSpec) ([]MissionSpec, error) {
 	spec = spec.withDefaults()
 	scn, err := spec.scenarioSpec()
@@ -51,34 +54,30 @@ func SwarmSpecs(spec MissionSpec) ([]MissionSpec, error) {
 		s.Drone = i
 		s.Seed = spec.Seed + int64(i)*101
 		s.StartY = spec.StartY + (float64(i)-float64(n-1)/2)*swarmLaneSpacing
+		if s.ObsMission == nil {
+			s.ObsMission = s.obsScope()
+		}
 		specs[i] = s
 	}
 	return specs, nil
 }
 
-// RunSwarm flies a fleet scenario: every drone's full stack advances one
-// synchronization quantum at a time, and between quanta each simulator's
-// peer list is refreshed with the other drones' previous-quantum poses
-// (double-buffered, so the exchange order cannot influence results). Drones
-// that finish early stay parked in the world as sensable bodies. Outcomes
-// are indexed by drone.
+// RunSwarm flies a fleet scenario: the drones' full stacks advance in
+// lockstep, one synchronization quantum at a time, each sensing the others'
+// previous-quantum poses (see step). Outcomes are indexed by drone.
 func RunSwarm(spec MissionSpec) ([]*MissionOutcome, error) {
 	specs, err := SwarmSpecs(spec)
 	if err != nil {
 		return nil, err
 	}
-	n := len(specs)
 	m := world.ByName(specs[0].Map)
 	if m == nil {
 		return nil, fmt.Errorf("experiments: unknown map %q", specs[0].Map)
 	}
-
-	missions := make([]*mission, n)
+	missions := make([]*mission, 0, len(specs))
 	defer func() {
 		for _, ms := range missions {
-			if ms != nil {
-				ms.close()
-			}
+			ms.close()
 		}
 	}()
 	for i, sp := range specs {
@@ -86,55 +85,9 @@ func RunSwarm(spec MissionSpec) ([]*MissionOutcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: assembling drone %d: %w", i, err)
 		}
-		missions[i] = ms
-		if err := ms.sy.Start(); err != nil {
-			return nil, fmt.Errorf("experiments: starting drone %d: %w", i, err)
-		}
+		missions = append(missions, ms)
 	}
-
-	// Double-buffered peer exchange: bodies holds every drone's pose at the
-	// last completed quantum; peers is the scratch each SetPeers copies from.
-	bodies := make([]world.Body, n)
-	for i, ms := range missions {
-		bodies[i] = ms.sim.BodyState()
-	}
-	peers := make([]world.Body, 0, n-1)
-	done := make([]bool, n)
-	for remaining := n; remaining > 0; {
-		for i, ms := range missions {
-			if done[i] {
-				continue
-			}
-			peers = peers[:0]
-			for j := range bodies {
-				if j != i {
-					peers = append(peers, bodies[j])
-				}
-			}
-			ms.sim.SetPeers(peers)
-			d, err := ms.sy.StepQuanta(1)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: drone %d: %w", i, err)
-			}
-			if d {
-				done[i] = true
-				remaining--
-			}
-		}
-		for i, ms := range missions {
-			bodies[i] = ms.sim.BodyState()
-		}
-	}
-
-	outs := make([]*MissionOutcome, n)
-	for i, ms := range missions {
-		res, err := ms.sy.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: finishing drone %d: %w", i, err)
-		}
-		outs[i] = &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}
-	}
-	return outs, nil
+	return drive(missions, 0, nil)
 }
 
 // RunMissionWithFault runs one mission stepwise and invokes inject on the
@@ -142,35 +95,19 @@ func RunSwarm(spec MissionSpec) ([]*MissionOutcome, error) {
 // hook the mission fuzzer uses to prove divergence bisection localizes a
 // perturbation to the quantum it happened in.
 func RunMissionWithFault(spec MissionSpec, faultQuantum int, inject func(*env.Sim)) (*MissionOutcome, error) {
-	if spec.EnvAddr != "" {
-		return nil, fmt.Errorf("experiments: fault injection requires an in-process environment")
-	}
 	ms, err := assemble(spec, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer ms.close()
-	if err := ms.sy.Start(); err != nil {
-		return nil, err
-	}
-	if faultQuantum > 0 {
-		done, err := ms.sy.StepQuanta(faultQuantum)
-		if err != nil {
-			return nil, err
+	outs, err := drive([]*mission{ms}, uint64(max(faultQuantum, 0)), func() (bool, error) {
+		if inject != nil {
+			inject(ms.sim)
 		}
-		if done {
-			return nil, fmt.Errorf("experiments: mission ended before fault quantum %d", faultQuantum)
-		}
-	}
-	if inject != nil {
-		inject(ms.sim)
-	}
-	if _, err := ms.sy.StepQuanta(0); err != nil {
-		return nil, err
-	}
-	res, err := ms.sy.Finish()
+		return false, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}, nil
+	return outs[0], nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
 	"repro/internal/config"
@@ -94,37 +93,27 @@ func SpecFromImage(img *snapshot.Image) (MissionSpec, error) {
 // synchronization quanta and captures a snapshot image at that boundary.
 // The prefix mission is then discarded — forks continue from the image.
 func CaptureMission(spec MissionSpec, prefixQuanta uint64) (*snapshot.Image, error) {
-	if spec.EnvAddr != "" {
-		return nil, fmt.Errorf("experiments: snapshot capture requires an in-process environment (remote env state is server-owned)")
-	}
 	ms, err := assemble(spec, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer ms.close()
-	if err := ms.sy.Start(); err != nil {
-		return nil, err
-	}
-	if prefixQuanta > 0 {
-		done, err := ms.sy.StepQuanta(int(prefixQuanta))
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return nil, fmt.Errorf("experiments: mission ended before the divergence quantum %d", prefixQuanta)
-		}
-	}
-	rawSpec, err := spec.MetaSpec()
-	if err != nil {
-		return nil, err
-	}
-	meta := snapshot.Meta{Spec: rawSpec}
-	if spec.Obs != nil {
-		meta.TraceSeq = spec.Obs.Run.Seq()
-	}
 	// The prefix mission is abandoned once captured; close() kills the
 	// machine.
-	return snapshot.Capture(ms.sy, ms.sim, ms.mach, meta)
+	defer ms.close()
+	var img *snapshot.Image
+	_, err = drive([]*mission{ms}, prefixQuanta, func() (bool, error) {
+		rawSpec, err := spec.MetaSpec()
+		if err != nil {
+			return true, err
+		}
+		meta := snapshot.Meta{Spec: rawSpec}
+		if spec.Obs != nil {
+			meta.TraceSeq = spec.Obs.Run.Seq()
+		}
+		img, err = snapshot.Capture(ms.sy, ms.sim, ms.mach, meta)
+		return true, err
+	})
+	return img, err
 }
 
 // ResumeMission restores an image into one mission — spec rebuilt from the
@@ -144,137 +133,58 @@ func ResumeMission(img *snapshot.Image, suite *obs.Suite, recordFingerprints boo
 		return nil, err
 	}
 	defer ms.close()
-	return ms.run()
+	outs, err := drive([]*mission{ms}, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
-// ForkMission restores one image into an independent mission, reseeds its
-// sensor noise streams with sensorSeed (the per-variant divergence), and
-// runs it to completion. sharedMap, when non-nil, is the read-only geometry
-// every fork of the same image shares; nil looks the map up by name.
-func ForkMission(spec MissionSpec, img *snapshot.Image, sharedMap *world.Map, sensorSeed int64) (*MissionOutcome, error) {
+// runVariant runs one sweep point: it assembles the mission (restored from
+// img when non-nil, on the shared map when non-nil), reseeds its sensor
+// noise streams with sensorSeed at quantum at, and runs it to completion.
+// A fork passes the image and at = 0; the cold baseline passes no image and
+// at = the prefix length, replaying the prefix first. Both reseed through
+// the same drive hook at the same mission quantum, so the two modes are
+// bit-comparable.
+func runVariant(spec MissionSpec, sharedMap *world.Map, img *snapshot.Image, at uint64, sensorSeed int64) (*MissionOutcome, error) {
 	ms, err := assemble(spec, sharedMap, img)
 	if err != nil {
 		return nil, err
 	}
 	defer ms.close()
-	ms.sim.ReseedSensors(sensorSeed)
-	return ms.run()
+	outs, err := drive([]*mission{ms}, at, func() (bool, error) {
+		ms.sim.ReseedSensors(sensorSeed)
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
-// Fork restores one image into len(seeds) independent missions on a bounded
-// worker pool, one sensor seed per sweep point, sharing the map geometry and
-// model weights across all forks. Outcomes are indexed like seeds; the first
-// error in seed order is returned.
+// Fork restores one image into len(seeds) independent missions on the
+// worker pool (workers as in Options.Workers), one sensor seed per sweep
+// point, sharing the map geometry and model weights across all forks.
+// Outcomes are indexed like seeds; the first error in seed order is
+// returned.
 func Fork(spec MissionSpec, img *snapshot.Image, seeds []int64, workers int) ([]*MissionOutcome, error) {
 	spec = spec.withDefaults()
 	m := world.ByName(spec.Map)
 	if m == nil {
 		return nil, fmt.Errorf("experiments: unknown map %q", spec.Map)
 	}
-	outs := make([]*MissionOutcome, len(seeds))
-	errs := make([]error, len(seeds))
-	if workers <= 0 || workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers <= 1 {
-		for i, s := range seeds {
-			outs[i], errs[i] = ForkMission(spec, img, m, s)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i], errs[i] = ForkMission(spec, img, m, seeds[i])
-				}
-			}()
-		}
-		for i := range seeds {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
-}
-
-// runColdVariant is the cold baseline for one sweep point: replay the whole
-// shared prefix, reseed at the divergence quantum, run to completion. It
-// takes the identical stepwise path as capture+fork so the two modes are
-// bit-comparable.
-func runColdVariant(spec MissionSpec, prefixQuanta uint64, sensorSeed int64) (*MissionOutcome, error) {
-	ms, err := assemble(spec, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer ms.close()
-	if err := ms.sy.Start(); err != nil {
-		return nil, err
-	}
-	if prefixQuanta > 0 {
-		done, err := ms.sy.StepQuanta(int(prefixQuanta))
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return nil, fmt.Errorf("experiments: mission ended before the divergence quantum %d", prefixQuanta)
-		}
-	}
-	ms.sim.ReseedSensors(sensorSeed)
-	if _, err := ms.sy.StepQuanta(0); err != nil {
-		return nil, err
-	}
-	res, err := ms.sy.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return &MissionOutcome{Spec: ms.spec, Result: res, Inferences: ms.log.Records()}, nil
+	return outcomes(len(seeds), workers, func(i int) (*MissionOutcome, error) {
+		return runVariant(spec, m, img, 0, seeds[i])
+	})
 }
 
 // RunColdSweep is the cold baseline at sweep scale: every seed replays the
 // full shared prefix before diverging. Outcomes are indexed like seeds.
 func RunColdSweep(spec MissionSpec, prefixQuanta uint64, seeds []int64, workers int) ([]*MissionOutcome, error) {
-	outs := make([]*MissionOutcome, len(seeds))
-	errs := make([]error, len(seeds))
-	if workers <= 0 || workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers <= 1 {
-		for i, s := range seeds {
-			outs[i], errs[i] = runColdVariant(spec, prefixQuanta, s)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					outs[i], errs[i] = runColdVariant(spec, prefixQuanta, seeds[i])
-				}
-			}()
-		}
-		for i := range seeds {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
+	return outcomes(len(seeds), workers, func(i int) (*MissionOutcome, error) {
+		return runVariant(spec, nil, nil, prefixQuanta, seeds[i])
+	})
 }
 
 // RunWarmSweep is the warm-start path at sweep scale: run the shared prefix

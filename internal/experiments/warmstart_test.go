@@ -3,11 +3,15 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/env"
 	"repro/internal/snapshot"
+	"repro/internal/world"
 )
 
 // TestWarmstartQuick runs the warm-start experiment end to end: the
@@ -33,6 +37,32 @@ func TestWarmstartQuick(t *testing.T) {
 	}
 	if len(r.Trajectories) != 3 {
 		t.Errorf("want 3 fork trajectories, got %d", len(r.Trajectories))
+	}
+}
+
+// TestColdSweepRemoteEnvErrors: the cold baseline reseeds the live
+// simulator at the divergence quantum, which a remote environment does not
+// expose. Against a loopback env server the sweep must return an error, not
+// dereference a missing in-process simulator.
+func TestColdSweepRemoteEnvErrors(t *testing.T) {
+	sim, err := env.New(env.DefaultConfig(world.Tunnel()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := env.NewServerOn(sim, ln)
+	go srv.Serve()
+	defer srv.Close()
+
+	spec := MissionSpec{
+		Map: "tunnel", Model: "ResNet6", HW: config.A,
+		VForward: 3, MaxSimSec: 2, EnvAddr: srv.Addr(),
+	}
+	if _, err := RunColdSweep(spec, 5, []int64{1}, 1); err == nil {
+		t.Fatal("cold sweep against a remote environment returned no error")
 	}
 }
 

@@ -18,15 +18,12 @@
 # dispatchable microkernel per inference shape, with the avx2-vs-sse
 # speedup), the fleet throughput series (missions/sec/host, solo vs batched
 # vs batched-int8), and per-benchmark deltas against the previous PR's
-# snapshot. Since PR 7 it records the warm-start sweep numbers: cold
-# (replay the shared prefix per variant) vs warm (snapshot once, fork per
-# variant) sweep walls, the drift-cancelling paired warm_speedup_x, and the
+# snapshot. Since PR 7 it records the warm-start sweep numbers: the
+# drift-cancelling paired warm_speedup_x of cold (replay the shared prefix
+# per variant) vs warm (snapshot once, fork per variant) sweeps, and the
 # snapshot capture/restore microcosts. Since PR 8 it prices the energy
-# ledger: the default mission step (accounting on) against its EnergyOff
-# twin, recorded in obs_overhead like the other enabled-vs-disabled pairs,
-# plus the drift-cancelling BenchmarkMissionStepEnergyPaired run whose
-# energy_overhead_pct is the authoritative ledger cost (the standalone pair
-# samples two different moments of shared-host noise).
+# ledger with the drift-cancelling BenchmarkMissionStepEnergyPaired run,
+# whose energy_overhead_pct is the authoritative ledger cost.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,7 +36,7 @@ trap 'rm -f "$raw" "$prevpairs"' EXIT
 
 echo "== benchmarks (this takes a few minutes: models train once) =="
 go test -run xxx \
-    -bench 'BenchmarkMissionStep$|BenchmarkMissionStepObserved$|BenchmarkMissionStepEnergyOff$|BenchmarkQuantumTCP$|BenchmarkQuantumTCPObserved$|BenchmarkQuantumTCPFaultnet$|BenchmarkQuantumTCPResilient$' \
+    -bench 'BenchmarkMissionStep$|BenchmarkMissionStepObserved$|BenchmarkQuantumTCP$|BenchmarkQuantumTCPObserved$|BenchmarkQuantumTCPFaultnet$|BenchmarkQuantumTCPResilient$' \
     -benchtime 4x -benchmem . | tee "$raw"
 
 echo "== energy ledger cost (drift-cancelling pair) =="
@@ -60,11 +57,8 @@ go test -run xxx -bench 'BenchmarkFleetPaired$' -benchtime 15x . | tee -a "$raw"
 echo "== warm-start sweeps (snapshot + fork vs full replay) =="
 # The Paired benchmark interleaves a cold sweep (8 variants x full replay)
 # and a warm sweep (prefix once, snapshot, 8 forks) in the same timing
-# loop; warm_speedup_x is the headline. The separate Cold/Warm runs give
-# absolute sweep walls, and the snapshot micro-pair prices one capture and
-# one restore+rebuild.
-go test -run xxx -bench 'BenchmarkSweepCold$|BenchmarkSweepWarm$' \
-    -benchtime 3x . | tee -a "$raw"
+# loop; warm_speedup_x is the headline. The snapshot micro-pair prices one
+# capture and one restore+rebuild.
 go test -run xxx -bench 'BenchmarkWarmstartPaired$' -benchtime 5x . | tee -a "$raw"
 go test -run xxx -bench 'BenchmarkSnapshotCapture$|BenchmarkSnapshotRestore$' \
     -benchmem ./internal/experiments/ | tee -a "$raw"
@@ -173,14 +167,12 @@ END {
     # per metric pairs of (observed benchmark, its disabled twin). The fleet
     # pairs record the batching/precision levers against the solo baseline.
     pairs["BenchmarkMissionStepObserved"]  = "BenchmarkMissionStep"
-    pairs["BenchmarkMissionStep"]          = "BenchmarkMissionStepEnergyOff"
     pairs["BenchmarkQuantumTCPObserved"]   = "BenchmarkQuantumTCP"
     pairs["BenchmarkLogEventEnabled"]      = "BenchmarkLogEventDisabled"
     pairs["BenchmarkQuantumTCPFaultnet"]   = "BenchmarkQuantumTCP"
     pairs["BenchmarkQuantumTCPResilient"]  = "BenchmarkQuantumTCP"
     pairs["BenchmarkFleetBatched"]         = "BenchmarkFleetSolo"
     pairs["BenchmarkFleetBatchedInt8"]     = "BenchmarkFleetSolo"
-    pairs["BenchmarkSweepWarm"]            = "BenchmarkSweepCold"
     pairs["BenchmarkForwardBatch/ResNet6/batched"]  = "BenchmarkForwardBatch/ResNet6/solo"
     pairs["BenchmarkForwardBatch/ResNet14/batched"] = "BenchmarkForwardBatch/ResNet14/solo"
     m = 0
